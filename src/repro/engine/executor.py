@@ -23,6 +23,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .. import obs
+from ..core.index import layer_order
+from ..core.qkernel import topk_select
 from ..queries.ranking import LinearQuery
 from .cache import ResultCache
 from .catalog import Catalog
@@ -72,8 +74,9 @@ def materialize_layers(
         raise ValueError(f"table {table_name!r} already has a layer column")
     extended = relation.with_column(Attribute(LAYER_COLUMN, "int"), layers)
     catalog.replace_table(extended)
-    order = np.lexsort((np.arange(layers.size), layers))
-    return BlockStore(extended, storage_order=order, block_size=block_size)
+    return BlockStore(
+        extended, storage_order=layer_order(layers), block_size=block_size
+    )
 
 
 class TopKExecutor:
@@ -396,14 +399,14 @@ class TopKExecutor:
         if store is not None:
             # Sequential prefix read: layer-ordered storage makes the
             # qualifying tuples exactly the first |candidates| ones.
-            prefix = store.read_prefix(retrieved)
-            candidates = np.sort(prefix)
+            candidates = store.read_prefix(retrieved)
             blocks = store.blocks_for_prefix(retrieved)
         else:
             blocks = -(-retrieved // self._block_size) if retrieved else 0
-        scores = linear.scores(data[candidates]) if retrieved else np.zeros(0)
-        order = np.lexsort((candidates, scores))
-        tids = candidates[order[: query.k]]
+        # topk_select breaks ties by tid, so candidate order is free.
+        tids = topk_select(
+            linear.scores(data[candidates]), candidates, query.k
+        )
         return ExecutionResult(
             tids=tids,
             rows=relation.take(tids),

@@ -13,10 +13,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..core.index import LayerSlab
 from ..core.qkernel import topk_select
 from ..queries.ranking import LinearQuery
 
-__all__ = ["QueryResult", "RankedIndex", "rank_candidates"]
+__all__ = ["QueryResult", "RankedIndex", "LayeredIndex", "rank_candidates"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -96,6 +97,73 @@ class RankedIndex(ABC):
     def build_info(self) -> dict:
         """Implementation-specific build statistics (layer counts...)."""
         return {}
+
+
+class LayeredIndex(RankedIndex):
+    """A ranked index served from one :class:`~repro.core.index.LayerSlab`.
+
+    Subclasses compute a layering and hand the packed slab to
+    :meth:`_adopt`; this base supplies the layer accessors and the
+    snapshot hooks (:meth:`export_state` / :meth:`from_state`), so
+    every layered kind persists the same way and a restore never
+    re-sorts or re-packs.
+    """
+
+    #: ``build_info()["method"]``.
+    method: str = "layered"
+    #: Build parameters kept in snapshot meta and reported by
+    #: :meth:`build_info`, each with the value a snapshot lacking it
+    #: restores to.
+    _PARAM_DEFAULTS: dict = {}
+
+    def _adopt(
+        self, slab: LayerSlab, params: dict, build_seconds: float = 0.0
+    ) -> None:
+        self._slab = slab
+        self._params = params
+        self._build_seconds = build_seconds
+
+    @property
+    def layers(self) -> np.ndarray:
+        """1-based layer number per tuple."""
+        return self._slab.layers
+
+    @property
+    def slab(self) -> LayerSlab:
+        """The layer-packed serving layout (read-only)."""
+        return self._slab
+
+    def retrieval_cost(self, k: int) -> int:
+        """Tuples a top-k query reads: the size of the first k layers."""
+        return self._slab.retrieval_cost(k)
+
+    def build_info(self) -> dict:
+        return {
+            "method": self.method,
+            **self._params,
+            "n_layers": self._slab.n_layers,
+            "build_seconds": self._build_seconds,
+        }
+
+    def export_state(self) -> tuple[dict, dict]:
+        """Serializable ``(arrays, meta)``: the points, the slab's
+        buffers and the build parameters."""
+        return {"points": self._points, **self._slab.arrays()}, dict(
+            self._params
+        )
+
+    @classmethod
+    def from_state(cls, arrays: dict, meta: dict) -> "LayeredIndex":
+        """Restore from :meth:`export_state` output without rebuilding;
+        the arrays (possibly read-only memmaps) are adopted as-is."""
+        index = cls.__new__(cls)
+        RankedIndex.__init__(index, arrays["points"])
+        params = {
+            key: meta.get(key, default)
+            for key, default in cls._PARAM_DEFAULTS.items()
+        }
+        index._adopt(LayerSlab.from_arrays(arrays), params)
+        return index
 
 
 def rank_candidates(

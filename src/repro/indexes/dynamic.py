@@ -3,9 +3,10 @@
 :class:`~repro.core.dynamic.DynamicRobustLayers` keeps a layering
 *sound* through inserts and deletes but is not itself queryable.
 :class:`DynamicRobustIndex` closes the loop: it pairs the maintainer
-with an immutable, layer-packed *serving view* (the same order /
-offsets / slab artefacts :class:`~repro.indexes.robust.RobustIndex`
-queries) and republishes a fresh view after every mutation.
+with an immutable *serving view* (the same
+:class:`~repro.core.index.LayerSlab` layout
+:class:`~repro.indexes.robust.RobustIndex` queries) and republishes a
+fresh view after every mutation.
 
 The design rule is single-writer / lock-free readers:
 
@@ -31,7 +32,7 @@ import numpy as np
 from .. import obs
 from ..core.appri import appri_layers
 from ..core.dynamic import DynamicRobustLayers
-from ..core.index import layer_offsets, layer_order
+from ..core.index import LayerSlab
 from ..core.qkernel import topk_select
 from ..queries.ranking import LinearQuery
 from .base import QueryResult, RankedIndex
@@ -42,22 +43,18 @@ __all__ = ["DynamicRobustIndex"]
 class _ServingView:
     """One immutable, layer-packed generation of the index.
 
-    Holds everything a query touches (points in alive order, layers,
-    layer order/offsets, the contiguous slab) so reads never consult
-    the mutable maintainer.  ``generation`` identifies the update state
-    it was packed from; ``tight`` records whether the layers are fresh
+    Holds everything a query touches (points in alive order and their
+    :class:`~repro.core.index.LayerSlab`) so reads never consult the
+    mutable maintainer.  ``generation`` identifies the update state it
+    was packed from; ``tight`` records whether the layers are fresh
     from a full build (as opposed to update-compensated bounds).
     """
 
-    __slots__ = ("points", "layers", "order", "offsets", "slab",
-                 "generation", "tight")
+    __slots__ = ("points", "slab", "generation", "tight")
 
     def __init__(self, points, layers, generation: int, tight: bool):
         self.points = np.asarray(points, dtype=float)
-        self.layers = np.asarray(layers, dtype=np.intp)
-        self.order = layer_order(self.layers)
-        self.offsets = layer_offsets(self.layers)
-        self.slab = np.ascontiguousarray(self.points[self.order])
+        self.slab = LayerSlab.from_layers(self.points, layers)
         self.generation = generation
         self.tight = tight
 
@@ -128,7 +125,7 @@ class DynamicRobustIndex(RankedIndex):
     @property
     def layers(self) -> np.ndarray:
         """Current sound 1-based layers (per alive tuple)."""
-        return self._view.layers
+        return self._view.slab.layers
 
     @property
     def staleness(self) -> int:
@@ -147,9 +144,7 @@ class DynamicRobustIndex(RankedIndex):
 
     def retrieval_cost(self, k: int) -> int:
         """Tuples a top-k query reads against the current view."""
-        view = self._view
-        c = min(max(k, 0), view.offsets.size - 1)
-        return int(view.offsets[c])
+        return self._view.slab.retrieval_cost(k)
 
     def query(self, query: LinearQuery, k: int) -> QueryResult:
         """Exact top-k against the current view, without locking."""
@@ -165,14 +160,9 @@ class DynamicRobustIndex(RankedIndex):
         if k == 0:
             return QueryResult(np.zeros(0, dtype=np.intp), 0, 0)
         with obs.timed("index.query"):
-            c = min(k, view.offsets.size - 1)
-            prefix = int(view.offsets[c])
-            candidates = view.order[:prefix]
-            scores = view.slab[:prefix] @ query.weights
-            tids = topk_select(scores, candidates, k)
-            layers_scanned = (
-                int(view.layers[candidates[-1]]) if prefix else 0
-            )
+            rows, candidates, layers_scanned = view.slab.prefix(k)
+            tids = topk_select(rows @ query.weights, candidates, k)
+        prefix = candidates.size
         obs.inc("index.queries")
         obs.inc("index.candidates", prefix)
         obs.inc("index.layers_scanned", layers_scanned)
@@ -186,7 +176,7 @@ class DynamicRobustIndex(RankedIndex):
             "staleness": self.staleness,
             "tight": self.tight,
             "generation": self._generation,
-            "n_layers": int(self.layers.max()) if self.size else 0,
+            "n_layers": self._view.slab.n_layers,
         }
 
     # -- write side --------------------------------------------------

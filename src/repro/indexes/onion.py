@@ -19,15 +19,16 @@ import time
 
 import numpy as np
 
+from ..core.index import LayerSlab
 from ..geometry.convex import hull_vertices, shell_vertices
 from ..geometry.peeling import peel_layers
 from ..queries.ranking import LinearQuery
-from .base import QueryResult, RankedIndex, rank_candidates
+from .base import LayeredIndex, QueryResult, rank_candidates
 
 __all__ = ["OnionIndex", "ShellIndex", "peel_layers"]
 
 
-class _PeeledIndex(RankedIndex):
+class _PeeledIndex(LayeredIndex):
     """Shared machinery for hull/shell peeling indexes."""
 
     _extractor = staticmethod(hull_vertices)
@@ -35,22 +36,15 @@ class _PeeledIndex(RankedIndex):
     def __init__(self, points: np.ndarray):
         super().__init__(points)
         started = time.perf_counter()
-        self._layers = peel_layers(self._points, self._extractor)
-        self._build_seconds = time.perf_counter() - started
-        self._order = np.lexsort((np.arange(self.size), self._layers))
-        max_layer = int(self._layers.max()) if self.size else 0
-        counts = np.bincount(self._layers, minlength=max_layer + 1)
-        self._offsets = np.cumsum(counts)
-        # Layer-packed slab: points rewritten in (layer, tid) order so
-        # the progressive scan reads each layer as one contiguous
-        # slice (the hull layers here are k-indexed too: the top-k of
-        # any linear query lies within the first k peels).
-        self._slab = np.ascontiguousarray(self._points[self._order])
-
-    @property
-    def layers(self) -> np.ndarray:
-        """1-based layer number per tuple."""
-        return self._layers
+        layers = peel_layers(self._points, self._extractor)
+        # The hull layers are k-indexed too (the top-k of any linear
+        # query lies within the first k peels), so they pack into the
+        # same slab the robust index serves from.
+        self._adopt(
+            LayerSlab.from_layers(self._points, layers),
+            {},
+            time.perf_counter() - started,
+        )
 
     def query(self, query: LinearQuery, k: int) -> QueryResult:
         """Progressive layer scan with the domination stop rule.
@@ -63,33 +57,24 @@ class _PeeledIndex(RankedIndex):
         k = self._check_query(query, k)
         if k == 0:
             return QueryResult(np.zeros(0, dtype=np.intp), 0, 0)
-        n_layers = self._offsets.size - 1
         retrieved = 0
         layers_scanned = 0
         best: np.ndarray | None = None
-        for c in range(1, n_layers + 1):
-            lo, hi = int(self._offsets[c - 1]), int(self._offsets[c])
-            if lo == hi:
+        for c in range(1, self._slab.n_layers + 1):
+            rows, members = self._slab.layer(c)
+            if not members.size:
                 continue
-            members = self._order[lo:hi]
             retrieved += members.size
             layers_scanned = c
             pool = members if best is None else np.concatenate([best, members])
             best = rank_candidates(self._points, pool, query, k)
             if best.size >= k:
                 kth_score = float(query.scores(self._points[[best[k - 1]]])[0])
-                layer_min = float(query.scores(self._slab[lo:hi]).min())
+                layer_min = float(query.scores(rows).min())
                 if kth_score < layer_min:
                     break
         tids = best if best is not None else np.zeros(0, dtype=np.intp)
         return QueryResult(tids[:k], retrieved, layers_scanned)
-
-    def build_info(self) -> dict:
-        return {
-            "method": self.name.lower(),
-            "n_layers": int(self._layers.max()) if self.size else 0,
-            "build_seconds": self._build_seconds,
-        }
 
 
 class OnionIndex(_PeeledIndex):
@@ -107,6 +92,7 @@ class OnionIndex(_PeeledIndex):
     """
 
     name = "Onion"
+    method = "onion"
     _extractor = staticmethod(hull_vertices)
 
 
@@ -114,4 +100,5 @@ class ShellIndex(_PeeledIndex):
     """Convex-shell peeling; thinner layers, monotone queries only."""
 
     name = "Shell"
+    method = "shell"
     _extractor = staticmethod(shell_vertices)

@@ -16,24 +16,15 @@ import numpy as np
 from .. import obs
 from ..core.appri import appri_build
 from ..core.exact import exact_build
-from ..core.index import layer_offsets, layer_order
+from ..core.index import LayerSlab
 from ..core.qkernel import batch_topk, topk_select
 from ..queries.ranking import LinearQuery
-from .base import QueryResult, RankedIndex
+from .base import LayeredIndex, QueryResult, RankedIndex
 
 __all__ = ["RobustIndex", "ExactRobustIndex"]
 
-#: Candidate prefixes at or below this many rows are served from a
-#: cached tid-sorted copy of the slab prefix (one per distinct prefix
-#: length), which lets :meth:`RobustIndex.query` rank with a single
-#: stable ``argsort`` instead of a two-key ``lexsort`` — the dominant
-#: cost at small candidate counts.  Larger prefixes fall back to the
-#: partition kernel, where duplicating the prefix would cost real
-#: memory for no win.
-_TID_VIEW_MAX = 8192
 
-
-class RobustIndex(RankedIndex):
+class RobustIndex(LayeredIndex):
     """Sequentially layered robust index built with AppRI.
 
     Parameters
@@ -64,6 +55,13 @@ class RobustIndex(RankedIndex):
     """
 
     name = "AppRI"
+    method = "appri"
+    _PARAM_DEFAULTS = {
+        "n_partitions": 0,
+        "systems": "complementary",
+        "refine": None,
+        "workers": 1,
+    }
 
     def __init__(
         self,
@@ -88,123 +86,55 @@ class RobustIndex(RankedIndex):
             workers=workers,
             chunk_size=chunk_size,
         )
-        self._layers = build.layers
-        self._build_metrics = build.metrics
-        self._build_seconds = time.perf_counter() - started
-        self._n_partitions = n_partitions
-        self._systems = systems
-        self._refine = refine
-        self._workers = workers
-        self._order = layer_order(self._layers)
-        self._offsets = layer_offsets(self._layers)
-        self._pack_slab()
+        self._adopt(
+            LayerSlab.from_layers(self._points, build.layers),
+            {
+                "n_partitions": n_partitions,
+                "systems": systems,
+                "refine": refine,
+                "workers": workers,
+            },
+            time.perf_counter() - started,
+            build.metrics,
+        )
 
-    def _pack_slab(self) -> None:
-        self._slab = np.ascontiguousarray(self._points[self._order])
+    def _adopt(self, slab, params, build_seconds=0.0, build_metrics=None):
+        super()._adopt(slab, params, build_seconds)
+        self._build_metrics = build_metrics or {}
         # Reusable working memory for the batch path (GEMM output plus
-        # the kernel's probe/mask buffers); rebuilt with the slab so a
+        # the kernel's probe/mask buffers); replaced with the slab so a
         # reload never aliases stale shapes.
         self._batch_scratch: dict = {}
-        # Per-prefix tid-sorted candidate views (see _tid_view).
-        self._tid_views: dict = {}
-
-    def _tid_view(self, prefix: int):
-        """``(slab_rows, tids, layers_scanned)`` for a small prefix,
-        with rows and tids sorted by ascending tid.
-
-        With candidates in tid order, one stable ``argsort`` of the
-        scores realizes the full ``(score, tid)`` lexsort (ties keep
-        positional — i.e. tid — order), so the single-query path can
-        skip the lexsort's second key pass.  The prefix depends only
-        on k, so views are built once and reused across the workload.
-        """
-        view = self._tid_views.get(prefix)
-        if view is None:
-            candidates = self._order[:prefix]
-            by_tid = np.argsort(candidates)
-            view = (
-                np.ascontiguousarray(self._slab[:prefix][by_tid]),
-                candidates[by_tid],
-                int(self._layers[candidates[-1]]) if prefix else 0,
-            )
-            self._tid_views[prefix] = view
-        return view
-
-    @property
-    def layers(self) -> np.ndarray:
-        """1-based layer number per tuple."""
-        return self._layers
 
     @property
     def build_metrics(self) -> dict:
         """Per-phase construction metrics (``build.*``; see
         :mod:`repro.obs`).  Empty for loaded indexes (no rebuild ran).
         """
-        return getattr(self, "_build_metrics", {})
-
-    def retrieval_cost(self, k: int) -> int:
-        """Tuples a top-k query reads: the size of the first k layers."""
-        c = min(max(k, 0), self._offsets.size - 1)
-        return int(self._offsets[c])
+        return self._build_metrics
 
     def candidates_for_k(self, k: int) -> np.ndarray:
         """Tids in the first k layers, in sequential storage order."""
-        return self._order[: self.retrieval_cost(k)]
-
-    @property
-    def slab(self) -> np.ndarray:
-        """The points re-materialized in layer order (C-contiguous).
-
-        ``slab[:retrieval_cost(k)]`` is the candidate prefix of a
-        top-k query as one cache-friendly slice — row j holds the
-        attributes of tid ``candidates_for_k(k)[j]`` — so the query
-        path never fancy-indexes the original matrix.
-        """
-        return self._slab
+        return self._slab.prefix(k)[1]
 
     def query(self, query: LinearQuery, k: int) -> QueryResult:
-        """Answer one top-k query from the first k layers.
-
-        Small candidate prefixes are ranked with a single stable
-        ``argsort`` over a cached tid-sorted view (see
-        :meth:`_tid_view`); large ones go through the partition
-        kernel.  Both realize the exact ``(score, tid)`` tie rule.
+        """Answer one top-k query from the first k layers: one matvec
+        over the slab prefix, then the exact ``(score, tid)`` k-select.
         """
         k = self._check_query(query, k)
         if k == 0:
             return QueryResult(np.zeros(0, dtype=np.intp), 0, 0)
         with obs.timed("index.query"):
-            prefix = self.retrieval_cost(k)
-            if prefix <= _TID_VIEW_MAX:
-                slab_rows, cand_tid, layers_scanned = self._tid_view(prefix)
-                scores = query.scores(slab_rows)
-                order = np.argsort(scores, kind="stable")
-                tids = cand_tid[order[:k]]
-            else:
-                candidates = self._order[:prefix]
-                scores = self._slab[:prefix] @ query.weights
-                tids = topk_select(scores, candidates, k)
-                # The slab is (layer, tid)-ordered, so the deepest
-                # layer touched is the last candidate's.
-                layers_scanned = (
-                    int(self._layers[candidates[-1]]) if prefix else 0
-                )
+            rows, candidates, layers_scanned = self._slab.prefix(k)
+            tids = topk_select(rows @ query.weights, candidates, k)
+        prefix = candidates.size
         obs.inc("index.queries")
         obs.inc("index.candidates", prefix)
         obs.inc("index.layers_scanned", layers_scanned)
         return QueryResult(tids, prefix, layers_scanned)
 
     def build_info(self) -> dict:
-        return {
-            "method": "appri",
-            "n_partitions": self._n_partitions,
-            "systems": getattr(self, "_systems", "complementary"),
-            "refine": getattr(self, "_refine", None),
-            "workers": getattr(self, "_workers", 1),
-            "n_layers": int(self._layers.max()) if self.size else 0,
-            "build_seconds": self._build_seconds,
-            "build_metrics": self.build_metrics,
-        }
+        return {**super().build_info(), "build_metrics": self._build_metrics}
 
     def query_batch(self, queries, k: int) -> list[QueryResult]:
         """Vectorized batch answering.
@@ -229,11 +159,8 @@ class RobustIndex(RankedIndex):
                 QueryResult(np.zeros(0, dtype=np.intp), 0, 0) for _ in queries
             ]
         with obs.timed("index.batch"):
-            prefix = self.retrieval_cost(k)
-            candidates = self._order[:prefix]
-            layers_scanned = (
-                int(self._layers[candidates[-1]]) if prefix else 0
-            )
+            rows, candidates, layers_scanned = self._slab.prefix(k)
+            prefix = candidates.size
             weights = np.stack([q.weights for q in queries])  # (q, d)
             # One GEMM over the contiguous prefix, written into a
             # reused C-order (q, c) buffer: the kernel's row passes
@@ -244,7 +171,7 @@ class RobustIndex(RankedIndex):
             if scores is None or scores.shape != (len(queries), prefix):
                 scores = np.empty((len(queries), prefix))
                 scratch["scores"] = scores
-            np.matmul(weights, self._slab[:prefix].T, out=scores)
+            np.matmul(weights, rows.T, out=scores)
             top = batch_topk(scores, candidates, k, scratch=scratch)
         obs.inc("index.batch.count")
         obs.inc("index.batch.queries", len(queries))
@@ -263,10 +190,10 @@ class RobustIndex(RankedIndex):
         np.savez_compressed(
             path,
             points=self._points,
-            layers=self._layers,
-            n_partitions=np.int64(self._n_partitions),
-            systems=np.str_(getattr(self, "_systems", "complementary")),
-            refine=np.str_(getattr(self, "_refine", None) or ""),
+            layers=self.layers,
+            n_partitions=np.int64(self._params["n_partitions"]),
+            systems=np.str_(self._params["systems"]),
+            refine=np.str_(self._params["refine"] or ""),
             format_version=np.int64(1),
         )
 
@@ -279,14 +206,14 @@ class RobustIndex(RankedIndex):
                 raise ValueError(f"unsupported index file version {version}")
             index = cls.__new__(cls)
             RankedIndex.__init__(index, archive["points"])
-            index._layers = archive["layers"].astype(np.intp)
-            index._n_partitions = int(archive["n_partitions"])
-            index._systems = str(archive["systems"])
-            index._refine = str(archive["refine"]) or None
-            index._build_seconds = 0.0
-        index._order = layer_order(index._layers)
-        index._offsets = layer_offsets(index._layers)
-        index._pack_slab()
+            params = {
+                **cls._PARAM_DEFAULTS,
+                "n_partitions": int(archive["n_partitions"]),
+                "systems": str(archive["systems"]),
+                "refine": str(archive["refine"]) or None,
+            }
+            layers = archive["layers"]
+        index._adopt(LayerSlab.from_layers(index._points, layers), params)
         return index
 
 
@@ -315,6 +242,10 @@ class ExactRobustIndex(RobustIndex):
     """
 
     name = "ExactRI"
+    method = "exact"
+    # A snapshot written before the engine was recorded restores to
+    # ``None`` (unknown) rather than a guess.
+    _PARAM_DEFAULTS = {**RobustIndex._PARAM_DEFAULTS, "engine": None}
 
     def __init__(
         self, points: np.ndarray, engine: str = "auto", workers: int = 1
@@ -322,18 +253,9 @@ class ExactRobustIndex(RobustIndex):
         RankedIndex.__init__(self, points)
         started = time.perf_counter()
         build = exact_build(self._points, engine=engine, workers=workers)
-        self._layers = build.layers
-        self._build_metrics = build.metrics
-        self._engine = build.engine
-        self._workers = workers
-        self._build_seconds = time.perf_counter() - started
-        self._n_partitions = 0
-        self._order = layer_order(self._layers)
-        self._offsets = layer_offsets(self._layers)
-        self._pack_slab()
-
-    def build_info(self) -> dict:
-        info = super().build_info()
-        info["method"] = "exact"
-        info["engine"] = getattr(self, "_engine", "legacy")
-        return info
+        self._adopt(
+            LayerSlab.from_layers(self._points, build.layers),
+            {**self._PARAM_DEFAULTS, "workers": workers, "engine": build.engine},
+            time.perf_counter() - started,
+            build.metrics,
+        )

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.index import (
+    LayerSlab,
     cumulative_layer_sizes,
     is_sound_for_query,
     layer_offsets,
@@ -45,6 +46,41 @@ class TestOrderAndOffsets:
     def test_rejects_matrix(self):
         with pytest.raises(ValueError):
             layer_order(np.ones((2, 2)))
+
+
+class TestLayerSlab:
+    def test_packs_matches_primitives_and_round_trips_memmaps(self, tmp_path):
+        points = np.arange(12, dtype=float).reshape(6, 2)
+        layers = np.array([3, 1, 3, 1, 2, 3])
+        slab = LayerSlab.from_layers(points, layers)
+        assert np.array_equal(slab.order, layer_order(layers))
+        assert np.array_equal(slab.offsets, layer_offsets(layers))
+        assert np.array_equal(slab.rows, points[layer_order(layers)])
+        assert slab.rows.flags["C_CONTIGUOUS"]
+        assert slab.n_layers == 3
+
+        rows, tids, layers_scanned = slab.prefix(0)
+        assert rows.shape == (0, 2) and tids.size == 0
+        assert layers_scanned == 0
+        rows, tids, layers_scanned = slab.prefix(2)
+        assert tids.tolist() == [1, 3, 4] and layers_scanned == 2
+        assert np.array_equal(rows, points[[1, 3, 4]])
+        rows, tids, layers_scanned = slab.prefix(99)  # beyond the deepest
+        assert tids.tolist() == [1, 3, 4, 0, 2, 5] and layers_scanned == 3
+        assert slab.retrieval_cost(99) == 6
+
+        mapped = {}
+        for name, array in slab.arrays().items():
+            path = tmp_path / f"{name}.bin"
+            array.tofile(path)
+            mapped[name] = np.memmap(
+                path, dtype=array.dtype, mode="r", shape=array.shape
+            )
+        restored = LayerSlab.from_arrays(mapped)
+        assert all(
+            isinstance(a, np.memmap) for a in restored.arrays().values()
+        )
+        assert np.array_equal(restored.prefix(2)[1], tids[:3])
 
 
 class TestSoundnessCheck:

@@ -1,5 +1,7 @@
 """Tests for the catalog and the top-k executor (all three plans)."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -153,6 +155,36 @@ class TestLayerPrefixPlan:
         )
         expected = LinearQuery([1, 0, 0]).top_k(data, 5)
         assert result.tids.tolist() == expected.tolist()
+
+    @pytest.mark.parametrize("with_store", [True, False])
+    def test_integer_ties_match_full_scan(self, rng, with_store):
+        # Rounded values plus duplicated rows make exact score ties
+        # common, so the (score, tid) rule decides every boundary.
+        base = np.round(rng.random((150, 3)) * 4)
+        data = np.vstack([base, base[::-1]])
+        catalog = Catalog()
+        catalog.create_table(
+            Relation.from_matrix("houses", ["price", "distance", "age"], data)
+        )
+        layers = appri_layers(data, n_partitions=4)
+        store = materialize_layers(catalog, "houses", layers, block_size=8)
+        executor = TopKExecutor(catalog)
+        if with_store:
+            executor.register_store("houses", store)
+        for k, (expression, weights) in itertools.product(
+            (1, 7, 20, 60),
+            (
+                ("price + distance + age", [1, 1, 1]),
+                ("price + 2*distance", [1, 2, 0]),
+                ("age", [0, 0, 1]),
+            ),
+        ):
+            result = executor.execute(
+                f"SELECT TOP {k} FROM houses WHERE layer <= {k} "
+                f"ORDER BY {expression}"
+            )
+            expected = LinearQuery(weights).top_k(data, k)
+            assert result.tids.tolist() == expected.tolist()
 
     def test_layer_predicate_requires_column(self, setup):
         catalog, _ = setup

@@ -27,6 +27,14 @@ from repro.queries.ranking import LinearQuery
 from repro.queries.workload import simplex_workload
 
 
+def _comparable_info(index) -> dict:
+    """``build_info()`` minus the fields a load cannot reproduce."""
+    info = index.build_info()
+    info.pop("build_seconds", None)
+    info.pop("build_metrics", None)
+    return info
+
+
 def _queryable_builders(rng):
     data = rng.random((80, 3))
     small = rng.random((40, 3))
@@ -51,6 +59,7 @@ class TestRoundTrip:
             assert type(loaded) is type(index)
             assert np.array_equal(loaded.points, index.points)
             assert np.array_equal(loaded.layers, index.layers)
+            assert _comparable_info(loaded) == _comparable_info(index)
             workload = simplex_workload(index.dimensions, 16, seed=7)
             for query in workload:
                 a = index.query(query, 10)
@@ -63,9 +72,9 @@ class TestRoundTrip:
         path = tmp_path / "r.snap"
         save_snapshot(index, path)
         loaded = load_snapshot(path)
-        assert np.array_equal(loaded._slab, index._slab)
-        assert np.array_equal(loaded._order, index._order)
-        assert np.array_equal(loaded._offsets, index._offsets)
+        assert np.array_equal(loaded.slab.rows, index.slab.rows)
+        assert np.array_equal(loaded.slab.order, index.slab.order)
+        assert np.array_equal(loaded.slab.offsets, index.slab.offsets)
 
     def test_batch_queries_round_trip(self, tmp_path, rng):
         index = RobustIndex(rng.random((60, 3)), n_partitions=5)
@@ -83,7 +92,7 @@ class TestRoundTrip:
         path = tmp_path / "r.snap"
         save_snapshot(index, path)
         loaded = load_snapshot(path, mmap=True)
-        assert isinstance(loaded._slab, np.memmap)
+        assert isinstance(loaded.slab.rows, np.memmap)
         # points passes through RankedIndex.__init__'s asarray, which
         # reclasses the memmap as a plain ndarray *view* — still
         # zero-copy: it owns no data and maps the file read-only.
@@ -128,8 +137,17 @@ class TestRoundTrip:
         path = tmp_path / "r.snap"
         save_snapshot(index, path)
         loaded = load_snapshot(path)
-        assert loaded._n_partitions == 7
-        assert loaded._workers == 2
+        assert loaded.build_info()["n_partitions"] == 7
+        assert loaded.build_info()["workers"] == 2
+
+    def test_snapshot_without_engine_reports_unknown_engine(self, rng):
+        # Snapshots written before the engine was recorded carry no
+        # "engine" meta; the restore must not guess one.
+        index = ExactRobustIndex(rng.random((30, 2)), engine="kinetic")
+        arrays, meta = index.export_state()
+        del meta["engine"]
+        loaded = ExactRobustIndex.from_state(arrays, meta)
+        assert loaded.build_info()["engine"] is None
 
     def test_extra_meta_lands_in_header(self, tmp_path, rng):
         index = RobustIndex(rng.random((30, 3)), n_partitions=5)
