@@ -27,8 +27,18 @@ Q-query monotone top-k workload against one robust index:
     The same workload replayed against a warm
     :class:`repro.engine.cache.ResultCache` — every query is a hit, so
     this is the cache's truncation-serving ceiling.
+``execute``
+    The same queries as SQL text (``USING INDEX``, weights written as
+    their shortest round-trip decimals) through
+    :meth:`TopKExecutor.execute`, one statement at a time: parse, plan,
+    ``index.query`` and row materialization.  ``overhead_vs_loop`` is
+    its time over ``loop``'s, the SQL wrapper's cost factor.
+``execute_many``
+    The same statements in one :meth:`TopKExecutor.execute_many` call,
+    which groups them into one ``query_batch``; ``overhead_vs_batch``
+    is its time over ``batch``'s.
 
-All four must return identical tids for every query (asserted); the
+All six must return identical tids for every query (asserted); the
 batch kernel's speedup target at n=50k, d=4, k=20 is >= 5x over the
 per-query loop baseline (``loop_seed``; its speedup over today's
 already-kernelized loop is reported alongside as
@@ -120,6 +130,9 @@ def bench_config(
     cache_capacity: int = 4096,
 ) -> dict:
     from repro.engine.cache import ResultCache, cached_query
+    from repro.engine.catalog import Catalog
+    from repro.engine.executor import TopKExecutor
+    from repro.engine.relation import Relation
     from repro.queries.workload import simplex_workload
 
     index, build_seconds = _load_or_build(n, d, k, workers, index_cache)
@@ -177,16 +190,49 @@ def bench_config(
         cache_tids.append(result.tids)
     cache_seconds = sum(cache_latencies)
 
+    attributes = [f"a{i}" for i in range(d)]
+    catalog = Catalog()
+    catalog.create_table(Relation.from_matrix("t", attributes, index.points))
+    catalog.attach_index("t", "ri", index)
+    executor = TopKExecutor(catalog)
+    statements = [
+        f"SELECT TOP {k} FROM t USING INDEX ri ORDER BY "
+        + " + ".join(
+            f"{np.format_float_positional(w, unique=True)}*{a}"
+            for w, a in zip(query.weights, attributes)
+        )
+        for query in workload
+    ]
+    executor.execute(statements[0])
+    execute_latencies: list[float] = []
+    execute_tids = []
+    for statement in statements:
+        started = time.perf_counter()
+        result = executor.execute(statement)
+        execute_latencies.append(time.perf_counter() - started)
+        execute_tids.append(result.tids)
+    execute_seconds = sum(execute_latencies)
+
+    many_seconds = float("inf")
+    many_results = None
+    for _ in range(3):
+        started = time.perf_counter()
+        candidate = executor.execute_many(statements)
+        many_seconds = min(many_seconds, time.perf_counter() - started)
+        many_results = candidate
+
     exact = all(
         list(seed_tids[i])
         == list(loop_tids[i])
         == list(batch_results[i].tids)
         == list(cache_tids[i])
+        == list(execute_tids[i])
+        == list(many_results[i].tids)
         for i in range(n_queries)
     )
     if not exact:
         raise AssertionError(
-            f"n={n} d={d}: loop/batch/cache answers diverged — the "
+            f"n={n} d={d}: loop/batch/cache/SQL answers diverged — the "
             "serving paths must be interchangeable"
         )
 
@@ -204,6 +250,8 @@ def bench_config(
         "loop": _rates(loop_seconds, loop_latencies, n_queries),
         "batch": _rates(batch_seconds, None, n_queries),
         "cache_warm": _rates(cache_seconds, cache_latencies, n_queries),
+        "execute": _rates(execute_seconds, execute_latencies, n_queries),
+        "execute_many": _rates(many_seconds, None, n_queries),
         "exact": exact,
     }
     record["loop"]["speedup_vs_seed_loop"] = round(
@@ -221,17 +269,25 @@ def bench_config(
     record["cache_warm"]["speedup_vs_loop"] = round(
         loop_seconds / cache_seconds, 2
     )
+    record["execute"]["overhead_vs_loop"] = round(
+        execute_seconds / loop_seconds, 2
+    )
+    record["execute_many"]["overhead_vs_batch"] = round(
+        many_seconds / batch_seconds, 2
+    )
     return record
 
 
 def render(records: list[dict]) -> str:
     lines = [
         f"query throughput — Q={N_QUERIES} simplex queries, top-{K}",
-        "(speedups are vs the pre-slab per-query baseline `loop_seed`)",
+        "(speedups are vs the pre-slab per-query baseline `loop_seed`;",
+        " exec/loop and many/batch are the SQL wrapper's time factors)",
         "",
         f"{'n':>7} {'d':>3} {'C':>7} | {'seed qps':>9} | "
         f"{'loop qps':>9} {'speedup':>8} | "
-        f"{'batch qps':>9} {'speedup':>8} | {'cache qps':>9} {'speedup':>8}",
+        f"{'batch qps':>9} {'speedup':>8} | {'cache qps':>9} {'speedup':>8} | "
+        f"{'exec/loop':>9} {'many/batch':>10}",
     ]
     for r in records:
         lines.append(
@@ -242,7 +298,9 @@ def render(records: list[dict]) -> str:
             f"{r['batch']['qps']:>9,.0f} "
             f"{r['batch']['speedup_vs_seed_loop']:>7.1f}x | "
             f"{r['cache_warm']['qps']:>9,.0f} "
-            f"{r['cache_warm']['speedup_vs_seed_loop']:>7.1f}x"
+            f"{r['cache_warm']['speedup_vs_seed_loop']:>7.1f}x | "
+            f"{r['execute']['overhead_vs_loop']:>8.1f}x "
+            f"{r['execute_many']['overhead_vs_batch']:>9.1f}x"
         )
     return "\n".join(lines)
 

@@ -18,7 +18,7 @@ Three physical plans, mirroring the paper's deployment story:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -112,7 +112,14 @@ class TopKExecutor:
         self.metrics = obs.Metrics()
 
     def register_store(self, table_name: str, store: BlockStore) -> None:
-        """Associate a sequential store (e.g. layer-ordered) with a table."""
+        """Associate a layer-ordered store (see :func:`materialize_layers`)
+        with a table.
+
+        A ``WHERE layer <=`` statement reads its prefix from the store
+        only while ``store.relation`` is the catalog's current table;
+        after :meth:`Catalog.replace_table` it ranks the layer column
+        of the new table instead.
+        """
         self._stores[table_name] = store
 
     @property
@@ -144,8 +151,7 @@ class TopKExecutor:
             return self._explain_result(query)
         if query.index_hint is not None or query.layer_bound is not None:
             return self.execute(query)
-        weights = np.array(list(query.order_by.values()))
-        if np.any(weights < 0):
+        if not _monotone(query):
             return self.execute(query)
         chosen = self.planner.choose(query.table, query.k)
         if chosen.kind == "layer-prefix":
@@ -191,9 +197,9 @@ class TopKExecutor:
             local.inc("query.retrieved", result.retrieved)
             local.inc("query.blocks_read", result.blocks_read)
         self.metrics.merge(local)
-        extra = dict(result.extra)
-        extra["metrics"] = local.as_dict()
-        return replace(result, extra=extra)
+        # Every plan builds a fresh ``extra`` dict for its result.
+        result.extra["metrics"] = local.as_dict()
+        return result
 
     def _resolve_index_plan(self, query: ParsedQuery) -> ParsedQuery | None:
         """The statement rewritten to an index plan, or ``None`` when
@@ -201,8 +207,7 @@ class TopKExecutor:
         weights / planner prefers another plan)."""
         if query.explain or query.layer_bound is not None:
             return None
-        weights = np.array(list(query.order_by.values()))
-        if np.any(weights < 0):
+        if not _monotone(query):
             return None
         if query.index_hint is not None:
             return query
@@ -285,9 +290,7 @@ class TopKExecutor:
                         "miss",
                     )
             retrieved = [a[1] for a in answers]
-            blocks = [
-                -(-r // self._block_size) if r else 0 for r in retrieved
-            ]
+            blocks = [self._blocks(r) for r in retrieved]
             local.add_time("query.index", time.perf_counter() - started)
             local.inc("query.count", len(members))
             local.inc("query.batches")
@@ -315,29 +318,22 @@ class TopKExecutor:
 
     def _execute_parsed(self, query: ParsedQuery) -> ExecutionResult:
         relation = self._catalog.table(query.table)
-
-        ranked_attrs = list(query.order_by)
-        for attr in ranked_attrs:
+        for attr in query.order_by:
             if attr not in relation.schema:
                 raise KeyError(
                     f"ORDER BY references unknown attribute {attr!r} "
                     f"on table {query.table!r}"
                 )
-        weights = np.array([query.order_by[a] for a in ranked_attrs])
-        monotone = bool(np.all(weights >= 0))
-        linear = LinearQuery(weights, require_monotone=False)
-        data = relation.matrix(ranked_attrs)
-
         if query.index_hint is not None:
-            if not monotone:
-                raise ValueError(
-                    "monotone layered indexes cannot serve negative weights; "
-                    "drop the USING INDEX hint to fall back to a scan"
-                )
-            return self._execute_with_index(query, relation, linear)
+            return self._execute_with_index(query, relation)
+        # The scan and layer-prefix plans rank over the ORDER BY
+        # attributes only, in statement order.
+        linear = LinearQuery(
+            list(query.order_by.values()), require_monotone=False
+        )
         if query.layer_bound is not None:
-            return self._execute_layer_prefix(query, relation, linear, data)
-        return self._execute_scan(query, relation, linear, data)
+            return self._execute_layer_prefix(query, relation, linear)
+        return self._execute_scan(query, relation, linear)
 
     def _index_weights(
         self, relation, index_name: str, order_by: dict
@@ -355,9 +351,19 @@ class TopKExecutor:
     def _cache_scope(self, table: str, index_name: str) -> tuple:
         return (table, index_name, self._catalog.table_version(table))
 
-    def _execute_with_index(self, query, relation, linear) -> ExecutionResult:
-        index = self._catalog.index(query.table, query.index_hint)
+    def _blocks(self, tuples: int) -> int:
+        return -(-tuples // self._block_size) if tuples else 0
+
+    def _execute_with_index(self, query, relation) -> ExecutionResult:
         full = self._index_weights(relation, query.index_hint, query.order_by)
+        linear = LinearQuery(full, require_monotone=False)
+        if not _monotone(query):
+            raise ValueError(
+                "monotone layered indexes cannot serve negative weights; "
+                "drop the USING INDEX hint to fall back to a scan"
+            )
+        index = self._catalog.index(query.table, query.index_hint)
+        plan = f"index({query.index_hint})"
         if self.cache is not None:
             scope = self._cache_scope(query.table, query.index_hint)
             hit = self.cache.lookup(scope, full, query.k)
@@ -367,46 +373,46 @@ class TopKExecutor:
                     rows=relation.take(hit),
                     retrieved=0,
                     blocks_read=0,
-                    plan=f"index({query.index_hint})",
+                    plan=plan,
                     extra={"cache": "hit"},
                 )
-        result = index.query(LinearQuery(full), query.k)
-        if self.cache is not None:
-            self.cache.store(scope, full, query.k, result.tids)
-        blocks = -(-result.retrieved // self._block_size) if result.retrieved else 0
+        result = index.query(linear, query.k)
         extra = {"layers_scanned": result.layers_scanned}
         if self.cache is not None:
+            self.cache.store(scope, full, query.k, result.tids)
             extra["cache"] = "miss"
         return ExecutionResult(
             tids=result.tids,
             rows=relation.take(result.tids),
             retrieved=result.retrieved,
-            blocks_read=blocks,
-            plan=f"index({query.index_hint})",
+            blocks_read=self._blocks(result.retrieved),
+            plan=plan,
             extra=extra,
         )
 
-    def _execute_layer_prefix(self, query, relation, linear, data) -> ExecutionResult:
+    def _execute_layer_prefix(self, query, relation, linear) -> ExecutionResult:
         if LAYER_COLUMN not in relation.schema:
             raise KeyError(
                 f"table {query.table!r} has no materialized {LAYER_COLUMN!r} "
                 "column; call materialize_layers first"
             )
         store = self._stores.get(query.table)
-        layers = relation.column(LAYER_COLUMN)
-        candidates = np.flatnonzero(layers <= query.layer_bound)
-        retrieved = int(candidates.size)
-        if store is not None:
-            # Sequential prefix read: layer-ordered storage makes the
-            # qualifying tuples exactly the first |candidates| ones.
+        if store is not None and store.relation is relation:
+            # Layer-ordered storage: the qualifying tuples are exactly
+            # a prefix of the storage order.
+            retrieved = store.prefix_length(LAYER_COLUMN, query.layer_bound)
             candidates = store.read_prefix(retrieved)
             blocks = store.blocks_for_prefix(retrieved)
         else:
-            blocks = -(-retrieved // self._block_size) if retrieved else 0
+            # No store, or one registered for data the catalog has
+            # since replaced: filter the current layer column.
+            layers = relation.column(LAYER_COLUMN)
+            candidates = np.flatnonzero(layers <= query.layer_bound)
+            retrieved = int(candidates.size)
+            blocks = self._blocks(retrieved)
+        data = relation.matrix(list(query.order_by), rows=candidates)
         # topk_select breaks ties by tid, so candidate order is free.
-        tids = topk_select(
-            linear.scores(data[candidates]), candidates, query.k
-        )
+        tids = topk_select(linear.scores(data), candidates, query.k)
         return ExecutionResult(
             tids=tids,
             rows=relation.take(tids),
@@ -415,14 +421,18 @@ class TopKExecutor:
             plan=f"layer-prefix(<= {query.layer_bound})",
         )
 
-    def _execute_scan(self, query, relation, linear, data) -> ExecutionResult:
+    def _execute_scan(self, query, relation, linear) -> ExecutionResult:
         n = relation.n_rows
-        tids = linear.top_k(data, query.k)
-        blocks = -(-n // self._block_size) if n else 0
+        tids = linear.top_k(relation.matrix(list(query.order_by)), query.k)
         return ExecutionResult(
             tids=tids,
             rows=relation.take(tids),
             retrieved=n,
-            blocks_read=blocks,
+            blocks_read=self._blocks(n),
             plan="scan",
         )
+
+
+def _monotone(query: ParsedQuery) -> bool:
+    """True when no ORDER BY weight is negative."""
+    return not any(w < 0 for w in query.order_by.values())

@@ -56,16 +56,21 @@ class CostBasedPlanner:
     def __init__(self, catalog, block_size: int = 64):
         self._catalog = catalog
         self._block_size = block_size
-        self._stats_cache: dict[str, TableStats] = {}
+        # table name -> (table content version, statistics)
+        self._stats_cache: dict[str, tuple[int, TableStats]] = {}
 
     def statistics(self, table_name: str) -> TableStats:
-        """ANALYZE-once-and-cache statistics for a table."""
-        relation = self._catalog.table(table_name)
+        """ANALYZE-once-and-cache statistics for a table.
+
+        Keyed on :meth:`Catalog.table_version`, so a
+        :meth:`Catalog.replace_table` re-analyzes on the next call.
+        """
+        version = self._catalog.table_version(table_name)
         cached = self._stats_cache.get(table_name)
-        if cached is None or cached.n_rows != relation.n_rows:
-            cached = analyze(relation)
+        if cached is None or cached[0] != version:
+            cached = (version, analyze(self._catalog.table(table_name)))
             self._stats_cache[table_name] = cached
-        return cached
+        return cached[1]
 
     def invalidate(self, table_name: str | None = None) -> None:
         if table_name is None:

@@ -78,14 +78,19 @@ class Relation:
         col.flags.writeable = False
         return col
 
-    def matrix(self, attribute_names=None) -> np.ndarray:
-        """Float (n, d) matrix over the named (default: all) attributes."""
+    def matrix(self, attribute_names=None, rows=None) -> np.ndarray:
+        """Float matrix over the named (default: all) attributes.
+
+        ``rows`` (tids) gathers only those rows, in that order, so a
+        caller that needs a few candidates never copies the whole table;
+        the default is every row.  The result is always a fresh array.
+        """
         names = list(attribute_names) if attribute_names else list(self._schema.names)
-        return np.stack(
-            [self._columns[self._schema.attribute(n).name].astype(float)
-             for n in names],
-            axis=1,
-        )
+        columns = [self._columns[self._schema.attribute(n).name] for n in names]
+        if rows is not None:
+            rows = np.asarray(rows, dtype=np.intp)
+            columns = [col[rows] for col in columns]
+        return np.stack([col.astype(float, copy=False) for col in columns], axis=1)
 
     def row(self, tid: int) -> dict:
         """One row as an attribute -> value mapping."""
@@ -108,8 +113,17 @@ class Relation:
     def take(self, tids) -> "Relation":
         """A new relation containing only the given rows, in order."""
         tids = np.asarray(tids, dtype=np.intp)
-        columns = {n: self._columns[n][tids] for n in self._schema.names}
-        return Relation(self._name, self._schema, columns)
+        columns = {n: col[tids] for n, col in self._columns.items()}
+        return Relation._trusted(self._name, self._schema, columns, len(tids))
+
+    @classmethod
+    def _trusted(cls, name, schema, columns, n_rows) -> "Relation":
+        # Skips __init__'s checks: only for columns derived from an
+        # already valid relation (same schema, dtypes and equal lengths).
+        relation = cls.__new__(cls)
+        relation._name, relation._schema = name, schema
+        relation._columns, relation._n_rows = columns, n_rows
+        return relation
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Relation({self._name!r}, {self._schema!r}, n={self._n_rows})"

@@ -45,13 +45,17 @@ class ParsedQuery:
     extra: dict = field(default_factory=dict)
 
 
+#: One token and the whitespace before it per match.  ``bad`` takes any
+#: other non-space character; trailing whitespace matches nothing.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<number>\d+\.\d*|\.\d+|\d+)
-  | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
-  | (?P<op><=|[*+\-(),])
-  | (?P<ws>\s+)
-  | (?P<bad>.)
+    \s*
+    (?:
+      (?P<number>\d+\.\d*|\.\d+|\d+)
+    | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
+    | (?P<op><=|[*+\-(),])
+    | (?P<bad>\S)
+    )
     """,
     re.VERBOSE,
 )
@@ -59,31 +63,36 @@ _TOKEN_RE = re.compile(
 
 def _tokenize(text: str) -> list[tuple[str, str]]:
     tokens = []
-    for match in _TOKEN_RE.finditer(text):
-        kind = match.lastgroup
-        if kind == "ws":
-            continue
-        if kind == "bad":
-            raise SqlError(
-                f"unexpected character {match.group()!r} at position {match.start()}"
+    for number, ident, op, bad in _TOKEN_RE.findall(text):
+        if number:
+            tokens.append(("number", number))
+        elif ident:
+            tokens.append(("ident", ident))
+        elif op:
+            tokens.append(("op", op))
+        else:
+            position = next(
+                m.start("bad") for m in _TOKEN_RE.finditer(text) if m["bad"]
             )
-        tokens.append((kind, match.group()))
+            raise SqlError(
+                f"unexpected character {bad!r} at position {position}"
+            )
     return tokens
 
 
 class _Parser:
     def __init__(self, text: str):
         self._text = text
-        self._tokens = _tokenize(text)
+        # The parser raises as soon as it consumes the end marker, so
+        # it never reads past it.
+        self._tokens = _tokenize(text) + [("eof", "")]
         self._pos = 0
 
     def _peek(self):
-        if self._pos < len(self._tokens):
-            return self._tokens[self._pos]
-        return ("eof", "")
+        return self._tokens[self._pos]
 
     def _next(self):
-        token = self._peek()
+        token = self._tokens[self._pos]
         self._pos += 1
         return token
 

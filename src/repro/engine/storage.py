@@ -10,6 +10,7 @@ paper's metric) and the induced page I/O.
 
 from __future__ import annotations
 
+import bisect
 from typing import Iterator
 
 import numpy as np
@@ -90,8 +91,27 @@ class BlockStore:
             yield int(self._order[pos])
 
     def read_prefix(self, n_tuples: int) -> np.ndarray:
-        """Tids of the first ``n_tuples`` in storage order (with stats)."""
-        return np.fromiter(self.scan(limit=n_tuples), dtype=np.intp)
+        """Tids of the first ``n_tuples`` in storage order.
+
+        One slice of the storage order; charges the same stats as
+        consuming ``scan(limit=n_tuples)`` to the end.
+        """
+        n = min(max(n_tuples, 0), self._relation.n_rows)
+        self.stats.scans_started += 1
+        self.stats.tuples_read += n
+        self.stats.blocks_read += self.blocks_for_prefix(n)
+        return self._order[:n].copy()
+
+    def prefix_length(self, column: str, bound) -> int:
+        """Length of the storage-order prefix whose ``column`` is <= ``bound``.
+
+        A binary search, so the storage order must sort ``column``
+        ascending, as a layer-ordered store sorts its layer column.
+        """
+        values, order = self._relation.column(column), self._order
+        return bisect.bisect_right(
+            range(order.size), bound, key=lambda pos: values[order[pos]]
+        )
 
     def blocks_for_prefix(self, n_tuples: int) -> int:
         """Blocks a prefix read of that many tuples touches."""

@@ -9,6 +9,7 @@ from repro.core.appri import appri_layers
 from repro.engine.catalog import Catalog
 from repro.engine.executor import TopKExecutor, materialize_layers
 from repro.engine.relation import Relation
+from repro.engine.schema import Attribute
 from repro.indexes.robust import RobustIndex
 from repro.queries.ranking import LinearQuery
 
@@ -185,6 +186,32 @@ class TestLayerPrefixPlan:
             )
             expected = LinearQuery(weights).top_k(data, k)
             assert result.tids.tolist() == expected.tolist()
+
+    def test_store_of_replaced_table_is_not_used(self, rng):
+        # The store still orders the first table's rows; after
+        # replace_table its prefix would rank the wrong tuples.
+        names = ["price", "distance", "age"]
+        first, second = rng.random((500, 3)), rng.random((500, 3))
+        catalog = Catalog()
+        catalog.create_table(Relation.from_matrix("houses", names, first))
+        store = materialize_layers(
+            catalog, "houses", appri_layers(first, n_partitions=4)
+        )
+        executor = TopKExecutor(catalog)
+        executor.register_store("houses", store)
+        catalog.replace_table(
+            Relation.from_matrix("houses", names, second).with_column(
+                Attribute("layer", "int"), appri_layers(second, n_partitions=4)
+            )
+        )
+        for k in (1, 3, 10):
+            result = executor.execute(
+                f"SELECT TOP {k} FROM houses WHERE layer <= {k} "
+                "ORDER BY price + distance + age"
+            )
+            expected = LinearQuery([1, 1, 1]).top_k(second, k)
+            assert result.tids.tolist() == expected.tolist()
+        assert store.stats.scans_started == 0
 
     def test_layer_predicate_requires_column(self, setup):
         catalog, _ = setup

@@ -54,6 +54,17 @@ class TestAccess:
     def test_matrix_all(self, houses):
         assert houses.matrix().shape == (3, 3)
 
+    def test_matrix_rows_gathers_in_order(self, houses):
+        extended = houses.with_column(Attribute("layer", "int"), [1, 2, 1])
+        m = extended.matrix(["layer", "price"], rows=[2, 0, 2])
+        assert m.dtype == float
+        assert m.tolist() == [[1.0, 180.0], [1.0, 100.0], [1.0, 180.0]]
+        assert extended.matrix(["price"], rows=[]).shape == (0, 1)
+        full = extended.matrix()
+        assert np.array_equal(full, extended.matrix(rows=np.arange(3)))
+        full[0, 0] = -1.0  # a fresh array, not a view of the columns
+        assert houses.column("price")[0] == 100.0
+
     def test_row(self, houses):
         row = houses.row(1)
         assert row["price"] == 250.0
@@ -64,6 +75,8 @@ class TestAccess:
         sub = houses.take([2, 0])
         assert sub.n_rows == 2
         assert sub.column("price").tolist() == [180.0, 100.0]
+        assert sub.schema == houses.schema
+        assert sub.take([]).n_rows == 0
 
 
 class TestWithColumn:

@@ -1,8 +1,21 @@
 """Tests for the ranked-query SQL dialect."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.engine.sql import SqlError, parse
+from repro.engine.sql import SqlError, _tokenize, parse
+
+from ..reference.sql_tokenize import tokenize as reference_tokenize
+
+#: Statement fragments plus characters no token accepts, so generated
+#: text mixes valid tokens, whitespace runs and bad characters.
+_FRAGMENTS = st.sampled_from([
+    "SELECT", "TOP", "FROM", "USING", "INDEX", "WHERE", "layer", "ORDER",
+    "BY", "EXPLAIN", "a0", "_x", "5", "0.25", ".5", "7.", "<=", "<", "=",
+    "*", "+", "-", "(", ")", ",", " ", "  ", "\t", "\n", ";", "!", "é",
+    "\u0663", "\u00a0",
+])
 
 
 class TestHappyPath:
@@ -77,3 +90,25 @@ class TestErrors:
     def test_unexpected_character(self):
         with pytest.raises(SqlError, match="unexpected character"):
             parse("SELECT TOP 5 FROM t ORDER BY a ; drop")
+
+
+class TestTokenizer:
+    @given(st.one_of(
+        st.lists(_FRAGMENTS, max_size=30).map("".join),
+        st.text(max_size=40),
+    ))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference_tokens_and_errors(self, text):
+        try:
+            expected = reference_tokenize(text)
+        except SqlError as exc:
+            with pytest.raises(SqlError) as raised:
+                _tokenize(text)
+            assert str(raised.value) == str(exc)
+        else:
+            assert _tokenize(text) == expected
+
+    def test_error_reports_the_first_bad_position(self):
+        text = "SELECT TOP 5\nFROM t ORDER BY a ; b !"
+        with pytest.raises(SqlError, match="';' at position 31$"):
+            _tokenize(text)

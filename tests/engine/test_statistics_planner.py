@@ -8,6 +8,7 @@ from repro.engine.catalog import Catalog
 from repro.engine.executor import TopKExecutor, materialize_layers
 from repro.engine.planner import CostBasedPlanner
 from repro.engine.relation import Relation
+from repro.engine.schema import Attribute
 from repro.engine.statistics import analyze, build_histogram
 from repro.indexes.robust import RobustIndex
 from repro.queries.ranking import LinearQuery
@@ -112,6 +113,24 @@ class TestPlanner:
         assert planner.statistics("d") is first
         planner.invalidate("d")
         assert planner.statistics("d") is not first
+
+
+    def test_statistics_follow_replace_table(self, planned_world, rng):
+        # Same row count, new layer column: a cache keyed on n_rows
+        # would keep estimating from the old histogram.
+        _, catalog, executor, _ = planned_world
+        planner = executor.planner
+        stale = planner.statistics("d")
+        replaced = Relation.from_matrix(
+            "d", ["a", "b", "c"], rng.random((300, 3))
+        ).with_column(Attribute("layer", "int"), np.full(300, 50))
+        catalog.replace_table(replaced)
+        assert planner.statistics("d") is not stale
+        assert planner.statistics("d") == analyze(replaced)
+        (prefix,) = [
+            p for p in planner.candidates("d", 5) if p.kind == "layer-prefix"
+        ]
+        assert prefix.est_tuples == 5  # no row has layer <= 5
 
 
 class TestExecuteAuto:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.engine.relation import Relation
+from repro.engine.schema import Attribute
 from repro.engine.stats import AccessStats
 from repro.engine.storage import BlockStore
 
@@ -40,6 +41,28 @@ class TestBlockStore:
         tids = store.read_prefix(5)
         assert tids.tolist() == [0, 1, 2, 3, 4]
         assert store.stats.blocks_read == 2
+
+    @pytest.mark.parametrize("n", [-2, 0, 1, 3, 4, 5, 9, 10, 25])
+    @pytest.mark.parametrize("block_size", [1, 4, 64])
+    def test_read_prefix_charges_like_a_limited_scan(
+        self, relation, n, block_size
+    ):
+        order = np.random.default_rng(n + 2).permutation(10)
+        read = BlockStore(relation, storage_order=order, block_size=block_size)
+        scanned = BlockStore(relation, storage_order=order, block_size=block_size)
+        for _ in range(2):  # stats accumulate across reads
+            tids = read.read_prefix(n)
+            assert tids.tolist() == list(scanned.scan(limit=n))
+        assert read.stats == scanned.stats
+
+    def test_prefix_length_binary_searches_a_sorted_column(self, relation):
+        layers = np.array([3, 1, 2, 1, 3, 2, 1, 4, 4, 2])
+        layered = relation.with_column(Attribute("layer", "int"), layers)
+        store = BlockStore(layered, storage_order=np.argsort(layers, kind="stable"))
+        for bound in range(-1, 6):
+            assert store.prefix_length("layer", bound) == np.count_nonzero(
+                layers <= bound
+            )
 
     def test_custom_storage_order(self, relation):
         order = np.arange(10)[::-1]
