@@ -11,20 +11,21 @@ recorded a 94 s build at n=10k, d=4).
 Per configuration, the same data is built twice:
 
 ``legacy``
-    ``appri_build(..., counting="blocked")`` — the paper-faithful
-    serial schedule with the pre-kernel default engine.
+    ``appri_layers(..., method="blocked")`` from
+    ``tests/reference/appri_levels.py`` — the paper-faithful per-level
+    schedule with the pre-kernel default engine.
 ``kernel``
-    ``appri_build(...)`` — ``auto`` routes every system through one
-    fused kernel call that shares bilinear columns across sides and
-    lead columns across levels.
+    ``appri_build(...)`` — every system goes through one fused kernel
+    call that shares bilinear columns across sides and lead columns
+    across levels.
 
 The layer arrays must be **bit-identical** (asserted), making the
 speedup a pure scheduling/kernel win with zero accuracy cost.  Full
 runs write ``BENCH_build_kernels.json`` at the repo root (the
 acceptance evidence for the >= 10x target) plus a text report in
 ``benchmarks/results/``; ``--quick`` runs a tiny size for CI,
-additionally cross-checking the kernel build against the ``naive``
-reference engine, and writes only the text report.
+additionally cross-checking the kernel build against the reference
+schedule on the ``naive`` engine, and writes only the text report.
 """
 
 from __future__ import annotations
@@ -43,6 +44,8 @@ if __name__ == "__main__":  # standalone: make src/ importable
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
+if str(REPO_ROOT) not in sys.path:  # the per-level reference is in tests/
+    sys.path.append(str(REPO_ROOT))
 RESULTS_DIR = Path(__file__).parent / "results"
 
 #: (n, d, measure the legacy schedule too?).  Legacy at n=50k would
@@ -72,17 +75,16 @@ def _machine() -> dict:
     }
 
 
-def _timed_build(data, counting):
-    from repro.core.appri import appri_build
-
+def _timed(build, *args, **kwargs):
     started = time.perf_counter()
-    build = appri_build(data, n_partitions=N_PARTITIONS, counting=counting)
-    return build, time.perf_counter() - started
+    result = build(*args, **kwargs)
+    return result, time.perf_counter() - started
 
 
 def run(configs, quick: bool):
     from repro.core.appri import appri_build
     from repro.data import uniform
+    from tests.reference.appri_levels import appri_layers as reference
 
     results = []
     lines = [
@@ -94,7 +96,9 @@ def run(configs, quick: bool):
     ]
     for n, d, measure_legacy in configs:
         data = uniform(n, d, seed=SEED)
-        kernel_build, kernel_seconds = _timed_build(data, "auto")
+        kernel_build, kernel_seconds = _timed(
+            appri_build, data, n_partitions=N_PARTITIONS
+        )
         entry = {
             "n": n,
             "d": d,
@@ -103,8 +107,10 @@ def run(configs, quick: bool):
         }
         legacy_text = recorded_text = "-"
         if measure_legacy:
-            legacy_build, legacy_seconds = _timed_build(data, "blocked")
-            if not np.array_equal(legacy_build.layers, kernel_build.layers):
+            legacy_layers, legacy_seconds = _timed(
+                reference, data, n_partitions=N_PARTITIONS, method="blocked"
+            )
+            if not np.array_equal(legacy_layers, kernel_build.layers):
                 raise AssertionError(
                     f"n={n}: kernel layers differ from the legacy "
                     "schedule — engines must be bit-identical"
@@ -116,11 +122,9 @@ def run(configs, quick: bool):
             entry["layers_identical"] = True
             legacy_text = f"{legacy_seconds:10.2f}"
         if quick:
-            naive = appri_build(
-                data, n_partitions=N_PARTITIONS, counting="naive"
-            )
-            assert np.array_equal(naive.layers, kernel_build.layers), (
-                "kernel build must match the naive reference engine"
+            naive = reference(data, n_partitions=N_PARTITIONS, method="naive")
+            assert np.array_equal(naive, kernel_build.layers), (
+                "kernel build must match the reference on the naive engine"
             )
             entry["matches_naive"] = True
         recorded = RECORDED_BASELINE.get(n)
@@ -150,6 +154,7 @@ def test_build_kernel_speedup(benchmark):
     """pytest-benchmark entry: one kernel build on a small input."""
     from repro.core.appri import appri_build
     from repro.data import uniform
+    from tests.reference.appri_levels import appri_layers as reference
 
     from conftest import publish
 
@@ -157,7 +162,7 @@ def test_build_kernel_speedup(benchmark):
     build = benchmark(lambda: appri_build(data, n_partitions=N_PARTITIONS))
     assert np.array_equal(
         build.layers,
-        appri_build(data, n_partitions=N_PARTITIONS, counting="naive").layers,
+        reference(data, n_partitions=N_PARTITIONS, method="naive"),
     )
     _, text = run(QUICK_CONFIGS, quick=True)
     publish("bench_build_kernels", text)
@@ -168,7 +173,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--quick",
         action="store_true",
-        help="tiny CI smoke run: asserts kernel == naive, no JSON",
+        help="tiny CI smoke run: asserts kernel == naive reference, no JSON",
     )
     args = parser.parse_args(argv)
 

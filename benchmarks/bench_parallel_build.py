@@ -1,19 +1,19 @@
-"""Parallel chunked build pipeline vs. the serial reference schedule.
+"""Level pipeline over worker processes vs. the inline schedule.
 
-Runs ``appri_build`` at ``workers=1`` (the paper's serial schedule) and
-at increasing worker counts (the chunked pipeline), verifies the layer
-arrays are identical, and reports wall-clock speedup plus the
-per-phase timer breakdown from the ``build.*`` metrics.
+Runs ``appri_build`` at ``workers=1`` and at increasing worker counts,
+verifies the layer arrays are identical, and reports wall-clock
+speedup plus the per-phase timer breakdown from the ``build.*``
+metrics.
 
-Both pipelines run the fused bitset counting kernel
-(:mod:`repro.core.kernels`), so on a single core their times are
-near-identical; with more than one usable core the parallel pipeline
-additionally fans per-system level chunks out across a
-``ProcessPoolExecutor`` (the ``build.pool_used`` counter records
+Every worker count runs the same level pipeline
+(:func:`repro.core.pipeline.build_level_data`) on the fused bitset
+counting kernel (:mod:`repro.core.kernels`).  ``workers=1`` runs its
+tasks inline, one per pair system.  With more than one usable core and
+enough tuples, ``workers > 1`` fans chunks of gamma levels out across
+a ``ProcessPoolExecutor`` (the ``build.pool_used`` counter records
 whether the pool actually engaged — on single-core machines it is
-bypassed because competing processes would only add overhead).  The
-kernel-vs-legacy speedup itself is measured by
-``bench_build_kernels.py``.
+bypassed, so the times are near-identical).  The kernel-vs-legacy
+speedup itself is measured by ``bench_build_kernels.py``.
 
 Runnable standalone (CI smoke: ``python benchmarks/bench_parallel_build.py
 --quick``) or through pytest via :func:`test_parallel_build_speedup`.
@@ -46,7 +46,7 @@ def run(n: int, d: int = 3, n_partitions: int = 10, seed: int = 0) -> str:
     serial_seconds = time.perf_counter() - started
 
     lines = [
-        f"parallel chunked build pipeline — n={n}, d={d}, B={n_partitions}",
+        f"AppRI level pipeline by workers — n={n}, d={d}, B={n_partitions}",
         "",
         f"{'workers':>8}  {'seconds':>9}  {'speedup':>8}  {'pool':>5}  layers",
         f"{1:>8}  {serial_seconds:>9.2f}  {1.0:>7.2f}x  {'-':>5}  reference",
@@ -58,8 +58,8 @@ def run(n: int, d: int = 3, n_partitions: int = 10, seed: int = 0) -> str:
         identical = bool(np.array_equal(serial.layers, build.layers))
         if not identical:
             raise AssertionError(
-                f"workers={workers} layers differ from serial — "
-                "the pipelines must be interchangeable"
+                f"workers={workers} layers differ from workers=1 — "
+                "the schedules must be interchangeable"
             )
         pool = "yes" if build.metrics["counters"].get("build.pool_used") else "no"
         lines.append(

@@ -160,7 +160,13 @@ class DynamicRobustLayers:
         """
         obj = cls.__new__(cls)
         obj._n_partitions = int(meta["n_partitions"])
-        obj._appri_kwargs = dict(meta.get("appri_kwargs", {}))
+        obj._appri_kwargs = {
+            # Older snapshots may name the retired ``counting`` and
+            # ``chunk_size`` build options; neither changed the layers.
+            key: value
+            for key, value in meta.get("appri_kwargs", {}).items()
+            if key not in ("counting", "chunk_size")
+        }
         obj._points = np.asarray(arrays["points"], dtype=float)
         obj._raw_layers = np.array(arrays["raw_layers"], dtype=np.int64)
         obj._alive = np.array(arrays["alive"], dtype=bool)

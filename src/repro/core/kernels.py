@@ -1,12 +1,11 @@
 """Fused level-region counting for the AppRI build.
 
-The serial schedule (:func:`repro.core.appri.wedge_counts`) runs one
-full dominance pass per gamma level per side — ``2B`` transformed-space
-passes per pair system — and each pass re-sorts every transformed
-column from scratch.  This module collapses all of a system's passes
-into one fused kernel built on the packed-bitset machinery of
-:mod:`repro.dstruct.kernels`, exploiting two kinds of sharing the
-per-level schedule cannot see:
+The paper's per-level schedule runs one full dominance pass per gamma
+level per side — ``2B`` transformed-space passes per pair system — and
+each pass re-sorts every transformed column from scratch.  This module
+collapses all of a system's passes into one fused kernel built on the
+packed-bitset machinery of :mod:`repro.dstruct.kernels`, exploiting
+two kinds of sharing the per-level schedule cannot see:
 
 * **Across sides.**  :func:`repro.core.partitioning.level_transform`
   gives side a and side b the *same* bilinear columns
@@ -19,19 +18,20 @@ per-level schedule cannot see:
   combined bitsets are built once per system and reused for every
   level, including the two full-subspace passes.
 
-Every comparison is made on the *exact float values* the serial
+Every comparison is made on the *exact float values* the per-level
 transforms produce (the same ``gamma * pts[:, i] + pts[:, j]`` /
 ``-pts[:, j]`` expressions), so the level sizes are bit-identical to
 the per-level :func:`repro.dstruct.dominance.count_dominators` passes
 on any input, ties included — the property suite in
-``tests/core/test_kernels.py`` checks this against every legacy
+``tests/core/test_kernels.py`` checks this against the per-level
+reference (``tests/reference/appri_levels.py``) on every legacy
 engine.  Peak memory is bounded by processing the dominator bitsets in
 bit-space chunks (:func:`repro.dstruct.kernels.bit_chunks`).
 
-:func:`pair_level_data` is the entry point; the serial builder calls
-it per system and the parallel pipeline dispatches per-level subsets
-of it as tasks (``levels=``) so chunked builds reuse the same code and
-stay identical by construction.
+:func:`pair_level_data` is the entry point; the level pipeline
+(:mod:`repro.core.pipeline`) calls it once per system, or dispatches
+per-level subsets of it as tasks (``levels=``), so chunked builds
+reuse the same code and stay identical by construction.
 """
 
 from __future__ import annotations
@@ -98,20 +98,19 @@ def pair_level_data(
         the interior gamma level ``gamma_p`` (filling columns
         ``a_levels[:, p]`` and ``b_levels[:, p]``) and ``p == B`` is
         the pair of full-subspace passes (filling ``a_levels[:, B]``
-        and ``b_levels[:, 0]``).  ``None`` runs them all — what the
-        serial schedule computes per system.  The parallel pipeline
-        passes subsets; unioned over a cover of ``1..B`` the results
-        are identical to one full call.
+        and ``b_levels[:, 0]``).  ``None`` runs them all.  The
+        level pipeline may pass subsets; unioned over a cover of
+        ``1..B`` the results are identical to one full call.
     budget_bytes:
         Bit-space chunking budget (see
         :data:`repro.dstruct.kernels.MATRIX_BYTES_BUDGET`).
 
     Returns
     -------
-    ``(a_levels, b_levels)`` — two ``(n, B + 1)`` int64 arrays laid
-    out exactly like :func:`repro.core.appri.wedge_counts` builds
-    them; unrequested columns (and the always-empty ``b_levels[:, B]``
-    / ``a_levels[:, 0]``) are zero.
+    ``(a_levels, b_levels)`` — two ``(n, B + 1)`` int64 arrays,
+    ``a_levels[:, p] = |a_p|`` and ``b_levels[:, p] = |b_p|``;
+    unrequested columns (and the always-empty ``b_levels[:, B]`` /
+    ``a_levels[:, 0]``) are zero.
     """
     pts = np.asarray(points, dtype=float)
     n = pts.shape[0]

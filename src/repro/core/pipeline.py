@@ -1,37 +1,34 @@
-"""Parallel chunked AppRI construction pipeline.
+"""The AppRI level pipeline: every count the bound needs, as tasks.
 
-The serial builder (:func:`repro.core.appri.appri_layers` with
-``workers=1``) walks the pair systems one at a time, computing each
-system's level-region sizes with the fused bitset kernel
-(:func:`repro.core.kernels.pair_level_data`).  This module is the
-``workers > 1`` fast path: it decomposes the same computation into
-independent **chunks of gamma levels** and dispatches them over a
-process pool:
+:func:`repro.core.appri.appri_build` takes all of its counting from
+:func:`build_level_data`, for any ``workers``.  The work is split into
+independent tasks:
 
 1.  One task computes the global dominance factor.
 2.  For every pair system, the levels ``1..B`` (interior gamma levels
     plus the paired full-subspace passes at index ``B``) are covered
     by contiguous ranges; each ``("lev", s, p_lo, p_hi)`` task runs
-    :func:`~repro.core.kernels.pair_level_data` restricted to its
-    range and returns the two partially-filled ``(n, B + 1)`` level
-    arrays.  Level columns are disjoint across tasks, so the
-    coordinator combines results with plain array addition.
+    the fused kernel :func:`~repro.core.kernels.pair_level_data`
+    restricted to its range and returns the two partially-filled
+    ``(n, B + 1)`` level arrays.  Level columns are disjoint across
+    tasks, so the coordinator combines results with plain array
+    addition.
 
-Because every task runs the *same* kernel the serial path runs — just
-on a subset of levels — chunked counts are **identical** to serial
-counts on any input, for any ``workers`` or ``chunk_size`` (the
-parallel-equals-serial metamorphic test in ``tests/properties`` locks
-this in).  There is no floating-point re-derivation to reconcile: the
-kernel compares the exact transformed values the serial schedule
-compares.
+Every task runs the *same* kernel on a subset of levels, so the counts
+are **identical** for any ``workers`` or ``chunk_size`` (the
+parallel-equals-serial metamorphic test in ``tests/properties`` and
+the per-level reference ``tests/reference/appri_levels.py`` lock this
+in).
 
 Tasks are pure functions of ``(points, B, systems)`` plus a task
-descriptor, dispatched over a ``ProcessPoolExecutor``; each worker
-holds the data once (pool initializer) and returns per-range count
-arrays plus a metrics snapshot the coordinator merges.  The pool
-engages only when it can pay for itself: at least ``POOL_MIN_N``
-tuples *and* more than one usable core (on a single core the same
-tasks run inline — identical results, no process overhead).
+descriptor.  A ``ProcessPoolExecutor`` runs them only when it can pay
+for itself: ``workers > 1``, at least ``POOL_MIN_N`` tuples *and* more
+than one usable core.  Each pool worker then holds the data once (pool
+initializer), and each system is split into ~4 chunks per worker so
+stragglers rebalance.  Otherwise the tasks run inline in the calling
+thread, which passes the data to them as arguments, and each system is
+one task: every chunk sorts the system's lead columns again, so
+splitting only costs time when nothing runs in parallel.
 """
 
 from __future__ import annotations
@@ -77,7 +74,7 @@ def plan_chunks(n_levels: int, workers: int, chunk_size: int | None = None):
 
     ``chunk_size`` is the number of gamma levels per task; the default
     aims at ~4 chunks per worker within one system so stragglers
-    rebalance across the (systems x chunks) task grid.
+    rebalance across a pool's (systems x chunks) task grid.
     """
     if n_levels <= 0:
         return []
@@ -94,8 +91,9 @@ def plan_chunks(n_levels: int, workers: int, chunk_size: int | None = None):
 # Task execution (worker side)
 # ---------------------------------------------------------------------------
 
-#: Per-process state installed by the pool initializer (or, for the
-#: inline path, by the coordinating process itself).
+#: Per-process state installed by the pool initializer.  Only pool
+#: worker processes read it; inline tasks get their inputs as arguments,
+#: so concurrent builds in one process never share state.
 _WORKER: dict = {}
 
 
@@ -111,7 +109,12 @@ def _init_exact_worker(points):
     _WORKER["exact_pts"] = np.asarray(points, dtype=float)
 
 
-def _run_refine_block(block):
+def _run_pool_refine_block(block):
+    """:func:`_run_refine_block` on the pool worker's installed points."""
+    return _run_refine_block(block, _WORKER["exact_pts"])
+
+
+def _run_refine_block(block, pts):
     """Refine one block of open tuples; returns (ranks, metrics dict).
 
     The exact module is imported lazily inside the worker to keep
@@ -120,7 +123,6 @@ def _run_refine_block(block):
     from .exact import _refine_open_tuple
 
     ids, uppers, lowers = block
-    pts = _WORKER["exact_pts"]
     out = np.empty(len(ids), dtype=np.intp)
     local = obs.Metrics()
     with obs.collect(local, propagate=False):
@@ -130,11 +132,13 @@ def _run_refine_block(block):
     return out, local.as_dict()
 
 
-def _run_task(task):
+def _run_pool_task(task):
+    """:func:`_run_task` on the pool worker's installed inputs."""
+    return _run_task(task, _WORKER["pts"], _WORKER["b"], _WORKER["systems"])
+
+
+def _run_task(task, pts, b, systems):
     """Execute one task; returns (task, payload, metrics dict)."""
-    pts = _WORKER["pts"]
-    b = _WORKER["b"]
-    systems = _WORKER["systems"]
     local = obs.Metrics()
     with obs.collect(local, propagate=False):
         kind = task[0]
@@ -166,73 +170,78 @@ def build_level_data(
     chunk_size: int | None = None,
     metrics: "obs.Metrics | None" = None,
 ):
-    """All counting the AppRI bound needs, computed in parallel chunks.
+    """All counting the AppRI bound needs, computed as tasks.
 
     Returns ``(dominators, level_data, systems)`` where ``level_data``
     is a list over pair systems of ``(a_levels, b_levels)`` arrays of
-    shape ``(n, B + 1)`` laid out exactly like the serial
-    :func:`repro.core.appri.wedge_counts` internals: interior columns
-    from the gamma levels, column B of ``a`` / column 0 of ``b`` from
-    the full-subspace passes, the remaining boundary columns zero.
+    shape ``(n, B + 1)``, laid out like
+    :func:`~repro.core.kernels.pair_level_data` returns them: interior
+    columns from the gamma levels, column B of ``a`` / column 0 of
+    ``b`` from the full-subspace passes, the remaining boundary
+    columns zero.
 
-    Counts are integer-identical to the serial path regardless of
-    ``workers`` or ``chunk_size``; only the schedule changes.
+    ``chunk_size`` is the number of gamma levels per task; ``None``
+    plans one task per system when the tasks run inline and ~4 chunks
+    per worker per system when a pool runs them.  Counts are
+    integer-identical for any ``workers`` or ``chunk_size``; only the
+    schedule changes.
     """
+    if chunk_size is not None and (
+        not isinstance(chunk_size, (int, np.integer)) or chunk_size < 1
+    ):
+        raise ValueError("chunk_size must be None or an integer >= 1")
     pts = np.asarray(points, dtype=float)
     n, d = pts.shape
     b = int(n_partitions)
     systems = pair_systems(d, include_partial=include_partial)
+    use_pool = (
+        workers > 1
+        and n >= POOL_MIN_N
+        and len(systems) > 0
+        and _usable_cpus() > 1
+    )
+    if chunk_size is None and not use_pool:
+        chunk_size = b
     chunks = plan_chunks(b, workers, chunk_size)
 
     tasks: list[tuple] = [("dom",)]
     for s in range(len(systems)):
         tasks += [("lev", s, lo, hi) for lo, hi in chunks]
-
-    use_pool = (
-        workers > 1
-        and n >= POOL_MIN_N
-        and len(tasks) > 1
-        and _usable_cpus() > 1
-    )
     if metrics is not None:
         metrics.inc("build.chunks", len(chunks))
         metrics.inc("build.pool_used", int(use_pool))
-    if use_pool:
-        with ProcessPoolExecutor(
-            max_workers=min(workers, len(tasks)),
-            initializer=_init_worker,
-            initargs=(pts, b, include_partial),
-        ) as pool:
-            results = list(
-                pool.map(
-                    _run_task,
-                    tasks,
-                    chunksize=max(1, len(tasks) // (4 * workers)),
-                )
-            )
-    else:
-        _init_worker(pts, b, include_partial)
-        results = [_run_task(task) for task in tasks]
-
-    dominators = np.zeros(n, dtype=np.int64)
-    level_data = [
-        (
-            np.zeros((n, b + 1), dtype=np.int64),
-            np.zeros((n, b + 1), dtype=np.int64),
+    if not use_pool:
+        results = (_run_task(task, pts, b, systems) for task in tasks)
+        return _combine(results, systems, metrics)
+    with ProcessPoolExecutor(
+        max_workers=min(workers, len(tasks)),
+        initializer=_init_worker,
+        initargs=(pts, b, include_partial),
+    ) as pool:
+        results = pool.map(
+            _run_pool_task,
+            tasks,
+            chunksize=max(1, len(tasks) // (4 * workers)),
         )
-        for _ in systems
-    ]
+        return _combine(results, systems, metrics)
+
+
+def _combine(results, systems, metrics):
+    """Fold task results, as they arrive, into ``build_level_data``'s
+    return value."""
+    dominators = None
+    level_data = [None] * len(systems)
     for task, payload, task_metrics in results:
         if metrics is not None:
             metrics.merge(task_metrics)
         if task[0] == "dom":
-            dominators[:] = payload
+            dominators = payload
+        elif level_data[task[1]] is None:
+            level_data[task[1]] = payload
         else:
-            s = task[1]
-            a_part, b_part = payload
             # Tasks cover disjoint level columns, so addition combines.
-            level_data[s][0][:] += a_part
-            level_data[s][1][:] += b_part
+            for acc, part in zip(level_data[task[1]], payload):
+                acc += part
     return dominators, level_data, systems
 
 
@@ -281,10 +290,9 @@ def run_exact_refine(
             initializer=_init_exact_worker,
             initargs=(pts,),
         ) as pool:
-            results = list(pool.map(_run_refine_block, blocks))
+            results = list(pool.map(_run_pool_refine_block, blocks))
     else:
-        _init_exact_worker(pts)
-        results = [_run_refine_block(block) for block in blocks]
+        results = [_run_refine_block(block, pts) for block in blocks]
     active = obs.active_metrics()
     if active is not None:
         for _, block_metrics in results:

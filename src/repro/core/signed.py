@@ -43,8 +43,7 @@ class SignedRobustLayers:
     True
     """
 
-    def __init__(self, points: np.ndarray, n_partitions: int = 10,
-                 counting: str = "auto"):
+    def __init__(self, points: np.ndarray, n_partitions: int = 10):
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2:
             raise ValueError("points must be a 2-D array")
@@ -55,7 +54,7 @@ class SignedRobustLayers:
             signs = tuple(-1 if mask & (1 << j) else 1 for j in range(d))
             flipped = pts * np.asarray(signs, dtype=float)
             self._layerings[signs] = appri_layers(
-                flipped, n_partitions=n_partitions, counting=counting
+                flipped, n_partitions=n_partitions
             )
 
     @property

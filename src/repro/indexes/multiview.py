@@ -118,8 +118,7 @@ class RobustMultiView(RankedIndex):
 
     name = "AppRI-mv"
 
-    def __init__(self, points: np.ndarray, n_partitions: int = 10,
-                 counting: str = "auto"):
+    def __init__(self, points: np.ndarray, n_partitions: int = 10):
         super().__init__(points)
         d = self.dimensions
         row_sum = self._points.sum(axis=1, keepdims=True)
@@ -128,9 +127,7 @@ class RobustMultiView(RankedIndex):
             transformed = self._points.copy()
             transformed[:, m] = row_sum[:, 0]
             self._views.append(
-                RobustIndex(
-                    transformed, n_partitions=n_partitions, counting=counting
-                )
+                RobustIndex(transformed, n_partitions=n_partitions)
             )
 
     @property

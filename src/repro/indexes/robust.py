@@ -34,9 +34,9 @@ class RobustIndex(LayeredIndex):
     n_partitions:
         The paper's B wedge-partition count (default 10, the paper's
         operating point after Figures 6-7).
-    counting, matching, workers, chunk_size:
+    matching, systems, refine, workers:
         Forwarded to :func:`repro.core.appri.appri_build`;
-        ``workers > 1`` selects the chunked parallel pipeline
+        ``workers > 1`` lets the build fan out over worker processes
         (identical layers, faster build).  Per-phase build metrics are
         kept on :attr:`build_metrics` and summarized by
         :meth:`build_info`.
@@ -67,24 +67,20 @@ class RobustIndex(LayeredIndex):
         self,
         points: np.ndarray,
         n_partitions: int = 10,
-        counting: str = "auto",
         matching: str = "greedy",
         systems: str = "complementary",
         refine: str | None = None,
         workers: int = 1,
-        chunk_size: int | None = None,
     ):
         super().__init__(points)
         started = time.perf_counter()
         build = appri_build(
             self._points,
             n_partitions=n_partitions,
-            counting=counting,
             matching=matching,
             systems=systems,
             refine=refine,
             workers=workers,
-            chunk_size=chunk_size,
         )
         self._adopt(
             LayerSlab.from_layers(self._points, build.layers),

@@ -29,13 +29,12 @@ Metric names are dotted paths; the prefixes in use:
     time).
 ``counting.*``
     Engine selection and kernel accounting:
-    ``counting.engine.<name>`` counts which engine served each pass
-    (``kernel``, ``fused`` for whole-system kernel calls, or a legacy
-    engine), the ``counting.kernel`` timer accumulates time inside the
-    vectorized kernels, ``counting.fused_levels`` counts level passes
-    served by one fused call, and ``counting.fallback.<reason>``
-    records why a pass ran outside the kernels (``one_dim``,
-    ``explicit_engine``).
+    ``counting.engine.<name>`` counts which engine served each
+    dominance pass (``kernel`` or a legacy engine), the
+    ``counting.kernel`` timer accumulates time inside the vectorized
+    kernels, ``counting.fused_levels`` counts level passes served by
+    one fused call, and ``counting.fallback.one_dim`` counts 1-D
+    passes that ran outside the kernels.
 ``exact.*``
     The exact robust-layer solvers.
 ``query.*``

@@ -6,18 +6,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.appri import (
+    _wedges_from_levels,
     appri_build,
     appri_layers,
     pair_eds2_bound,
-    wedge_counts,
 )
 from repro.core.exact import exact_robust_layers
 from repro.core.index import violating_tids
-from repro.core.partitioning import pair_systems
+from repro.core.pipeline import build_level_data
 from repro.dstruct.dominance import count_dominators
+from repro.indexes.robust import RobustIndex
 from repro.queries.ranking import LinearQuery
 
 from ..conftest import points_strategy
+from ..reference import appri_levels
 
 
 class TestValidation:
@@ -61,8 +63,20 @@ class TestValidation:
 
     @pytest.mark.parametrize("chunk_size", [0, -4, 2.5])
     def test_rejects_bad_chunk_size(self, chunk_size):
+        # The level pipeline is the one builder that still takes it.
         with pytest.raises(ValueError, match="chunk_size"):
-            appri_layers(np.ones((3, 2)), workers=2, chunk_size=chunk_size)
+            build_level_data(
+                np.ones((3, 2)), 4, include_partial=False, workers=2,
+                chunk_size=chunk_size,
+            )
+
+    @pytest.mark.parametrize("option", ["counting", "chunk_size"])
+    @pytest.mark.parametrize(
+        "builder", [appri_layers, appri_build, RobustIndex]
+    )
+    def test_retired_options_are_not_accepted(self, builder, option):
+        with pytest.raises(TypeError, match=option):
+            builder(np.ones((3, 2)), **{option: None})
 
     def test_rejects_non_integer_partitions(self):
         with pytest.raises(ValueError, match="n_partitions"):
@@ -214,17 +228,31 @@ class TestMatchingModes:
         assert a.tolist() == b.tolist()
 
     def test_counting_engines_agree(self, small_3d):
-        a = appri_layers(small_3d, n_partitions=4, counting="blocked")
-        b = appri_layers(small_3d, n_partitions=4, counting="naive")
-        assert a.tolist() == b.tolist()
+        built = appri_layers(small_3d, n_partitions=4)
+        for method in ("blocked", "naive"):
+            reference = appri_levels.appri_layers(
+                small_3d, n_partitions=4, method=method
+            )
+            assert built.tolist() == reference.tolist(), method
+
+
+def built_wedges(pts, b):
+    """``(pair, |I_i|, |III_i|)`` per system, as the builder sees them."""
+    _, level_data, systems = build_level_data(
+        pts, b, include_partial=True, workers=1
+    )
+    for pair, (a_levels, b_levels) in zip(systems, level_data):
+        yield (pair, *_wedges_from_levels(a_levels, b_levels))
 
 
 class TestWedgeCounts:
     def test_wedges_partition_subspaces(self, small_3d):
         from repro.core.partitioning import subspace_transform
 
-        for pair in pair_systems(3):
-            i_wedges, iii_wedges = wedge_counts(small_3d, pair, 5)
+        for pair, i_wedges, iii_wedges in built_wedges(small_3d, 5):
+            ref_i, ref_iii = appri_levels.wedge_counts(small_3d, pair, 5)
+            assert np.array_equal(i_wedges, ref_i)
+            assert np.array_equal(iii_wedges, ref_iii)
             y_a = subspace_transform(small_3d, pair, "a")
             y_b = subspace_transform(small_3d, pair, "b")
             full_a = count_dominators(y_a)
@@ -233,8 +261,7 @@ class TestWedgeCounts:
             assert iii_wedges.sum(axis=1).tolist() == full_b.tolist()
 
     def test_wedges_non_negative(self, small_3d):
-        for pair in pair_systems(3)[:2]:
-            i_wedges, iii_wedges = wedge_counts(small_3d, pair, 6)
+        for _, i_wedges, iii_wedges in list(built_wedges(small_3d, 6))[:2]:
             assert i_wedges.min() >= 0
             assert iii_wedges.min() >= 0
 

@@ -1,8 +1,9 @@
 """Tests for the fused system-level counting kernel.
 
-The contract under test is the tentpole's bit-identical requirement:
+The contract under test is bit-identity:
 :func:`repro.core.kernels.pair_level_data` must reproduce, exactly,
-the level sizes the serial schedule obtains from one
+the level sizes the paper's per-level schedule
+(``tests/reference/appri_levels.py``) obtains from one
 :func:`repro.dstruct.dominance.count_dominators` pass per transformed
 space — for every engine, on tied and untied data.
 """
@@ -15,34 +16,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro import obs
 from repro.core.kernels import pair_level_data
-from repro.core.partitioning import (
-    level_transform,
-    pair_systems,
-    subspace_transform,
-)
-from repro.dstruct.dominance import count_dominators
-from repro.geometry.weights import gamma_levels
+from repro.core.partitioning import pair_systems
 
-
-def serial_level_arrays(pts, pair, b, method="naive"):
-    """The serial schedule's per-level passes, as (n, B+1) arrays."""
-    n = pts.shape[0]
-    a_levels = np.zeros((n, b + 1), dtype=np.int64)
-    b_levels = np.zeros((n, b + 1), dtype=np.int64)
-    for p, gamma in enumerate(gamma_levels(b), start=1):
-        a_levels[:, p] = count_dominators(
-            level_transform(pts, pair, float(gamma), "a"), method=method
-        )
-        b_levels[:, p] = count_dominators(
-            level_transform(pts, pair, float(gamma), "b"), method=method
-        )
-    a_levels[:, b] = count_dominators(
-        subspace_transform(pts, pair, "a"), method=method
-    )
-    b_levels[:, 0] = count_dominators(
-        subspace_transform(pts, pair, "b"), method=method
-    )
-    return a_levels, b_levels
+from ..reference.appri_levels import serial_level_arrays
 
 
 class TestPairLevelData:

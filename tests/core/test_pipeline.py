@@ -1,4 +1,4 @@
-"""Unit tests for the chunked parallel build pipeline."""
+"""Unit tests for the AppRI level pipeline."""
 
 from __future__ import annotations
 
@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from repro.core import pipeline
-from repro.core.appri import appri_build, wedge_counts
+from repro.core.appri import appri_build
 from repro.core.kernels import pair_level_data
 from repro.core.partitioning import pair_systems
 from repro.dstruct.dominance import count_dominators
 from repro.obs import Metrics
+
+from ..reference import appri_levels
 
 
 class TestPlanChunks:
@@ -71,17 +73,37 @@ class TestBuildLevelData:
         rng = np.random.default_rng(11)
         pts = rng.random((80, 3))
         b = 6
-        dominators, level_data, systems = pipeline.build_level_data(
-            pts, b, include_partial=True, workers=2, chunk_size=2
-        )
-        assert np.array_equal(dominators, count_dominators(pts))
-        assert len(level_data) == len(pair_systems(3, include_partial=True))
-        for system, (a_levels, b_levels) in zip(systems, level_data):
-            serial_i, serial_iii = wedge_counts(pts, system, b)
-            got_i = np.clip(np.diff(a_levels, axis=1), 0, None)
-            got_iii = np.clip(np.diff(b_levels[:, ::-1], axis=1), 0, None)
-            assert np.array_equal(got_i, serial_i)
-            assert np.array_equal(got_iii, serial_iii)
+        for workers, chunk_size in ((2, 2), (1, None)):
+            dominators, level_data, systems = pipeline.build_level_data(
+                pts, b, include_partial=True, workers=workers,
+                chunk_size=chunk_size,
+            )
+            assert np.array_equal(dominators, count_dominators(pts, "naive"))
+            expected = pair_systems(3, include_partial=True)
+            assert len(level_data) == len(expected)
+            for system, (a_levels, b_levels) in zip(systems, level_data):
+                ref_a, ref_b = appri_levels.serial_level_arrays(pts, system, b)
+                assert np.array_equal(a_levels, ref_a)
+                assert np.array_equal(b_levels, ref_b)
+
+    @pytest.mark.parametrize("workers, pool_min_n, cpus", [
+        (1, pipeline.POOL_MIN_N, 8),  # workers=1
+        (2, 10_000, 8),               # n < POOL_MIN_N
+        (4, 0, 1),                    # single usable core
+    ])
+    def test_inline_build_plans_one_task_per_system(
+        self, monkeypatch, workers, pool_min_n, cpus
+    ):
+        # Every chunk sorts the system's lead columns again, so an
+        # inline build that split systems would only lose time.
+        monkeypatch.setattr(pipeline, "POOL_MIN_N", pool_min_n)
+        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: cpus)
+        pts = np.random.default_rng(6).random((60, 4))
+        counters = appri_build(pts, workers=workers).metrics["counters"]
+        assert counters["build.pool_used"] == 0
+        assert counters["build.chunks"] == 1
+        systems = pair_systems(4, include_partial=False)
+        assert counters["build.tasks"] == 1 + len(systems)
 
     def test_metrics_record_tasks_and_chunks(self):
         pts = np.random.default_rng(3).random((40, 2))
@@ -129,10 +151,11 @@ class TestBoundaryExactness:
     def test_tie_heavy_lattice_identical_to_serial(self):
         # Integer lattices put every gamma threshold exactly on a
         # constraint boundary — the worst case for any float shortcut;
-        # the fused kernel compares the serial path's exact values.
+        # the fused kernel compares the per-level passes' exact values.
         rng = np.random.default_rng(21)
         pts = rng.integers(0, 3, size=(70, 3)).astype(float)
-        serial = appri_build(pts, n_partitions=9).layers
+        serial = appri_levels.appri_layers(pts, n_partitions=9)
+        assert np.array_equal(appri_build(pts, n_partitions=9).layers, serial)
         chunked = appri_build(pts, n_partitions=9, workers=3).layers
         assert np.array_equal(serial, chunked)
 
@@ -143,7 +166,9 @@ class TestBoundaryExactness:
             [[float(i % 4), float((i * 3) % 4)] for i in range(24)]
         )
         fused = appri_build(pts, n_partitions=8).layers
-        legacy = appri_build(pts, n_partitions=8, counting="blocked").layers
+        legacy = appri_levels.appri_layers(
+            pts, n_partitions=8, method="blocked"
+        )
         assert np.array_equal(fused, legacy)
         chunked = appri_build(pts, n_partitions=8, workers=2).layers
         assert np.array_equal(fused, chunked)

@@ -149,6 +149,37 @@ class TestRoundTrip:
         loaded = ExactRobustIndex.from_state(arrays, meta)
         assert loaded.build_info()["engine"] is None
 
+    def test_retired_build_options_in_meta_still_rebuild(self, rng):
+        # Older snapshots can store the removed ``counting`` and
+        # ``chunk_size`` build options; neither changed the layers.
+        from repro.core.appri import appri_layers
+        from repro.engine.rebuild import RebuildManager
+
+        retired = {"counting": "blocked", "chunk_size": 3}
+        layers = DynamicRobustLayers(rng.random((40, 3)), n_partitions=5)
+        layers.insert(rng.random(3))
+        arrays, meta = layers.export_state()
+        restored = DynamicRobustLayers.from_state(
+            arrays, {**meta, "appri_kwargs": retired}
+        )
+        restored.rebuild()
+        assert np.array_equal(
+            restored.layers(), appri_layers(layers.points, n_partitions=5)
+        )
+
+        index = DynamicRobustIndex(rng.random((40, 3)), n_partitions=5)
+        for row in rng.random((2, 3)):
+            index.insert(row)
+        arrays, meta = index.export_state()
+        meta = {**meta, "appri_kwargs": retired}
+        assert DynamicRobustIndex.from_state(arrays, meta).rebuild() is True
+        background = DynamicRobustIndex.from_state(arrays, meta)
+        assert RebuildManager(background, threshold=1).rebuild_now() is True
+        assert background.staleness == 0
+        assert np.array_equal(
+            background.layers, appri_layers(index.points, n_partitions=5)
+        )
+
     def test_extra_meta_lands_in_header(self, tmp_path, rng):
         index = RobustIndex(rng.random((30, 3)), n_partitions=5)
         path = tmp_path / "r.snap"

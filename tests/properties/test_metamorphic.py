@@ -16,9 +16,11 @@ What should — and should not — be invariant:
   The bound stays *sound* (still <= the rescaled exact layer, which is
   unchanged); only its tightness shifts.  This is the paper's stated
   reason to min-max normalize before indexing.
-* **Parallel vs serial**: ``workers > 1`` is a scheduling choice, not
-  a semantic one — layers must be bit-identical, including when a real
-  process pool engages.
+* **Parallel vs serial**: ``workers`` and ``chunk_size`` are
+  scheduling choices, not semantic ones — layers and level counts must
+  be bit-identical to the per-level reference schedule
+  (``tests/reference/appri_levels.py``), including when a real process
+  pool engages.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from repro.core.appri import appri_layers
 from repro.core.exact import exact_robust_layers
 
 from ..conftest import points_strategy
+from ..reference import appri_levels
 
 
 def small_points(max_rows: int = 64):
@@ -111,7 +114,7 @@ class TestParallelEqualsSerial:
     @given(
         pts=points_strategy(min_rows=1, max_rows=64, min_dims=2, max_dims=4),
         b=st.integers(1, 12),
-        workers=st.integers(2, 5),
+        workers=st.integers(1, 5),
         chunk_size=st.integers(1, 70),
     )
     @settings(max_examples=20, deadline=None)
@@ -119,30 +122,47 @@ class TestParallelEqualsSerial:
         self, pts, b, workers, chunk_size
     ):
         for systems in ("complementary", "families"):
-            serial = appri_layers(pts, n_partitions=b, systems=systems)
-            chunked = appri_layers(
+            serial = appri_levels.appri_layers(
+                pts, n_partitions=b, systems=systems, method="blocked"
+            )
+            built = appri_layers(
+                pts, n_partitions=b, systems=systems, workers=workers
+            )
+            assert np.array_equal(serial, built)
+            _, chunked, pairs = pipeline.build_level_data(
                 pts,
-                n_partitions=b,
-                systems=systems,
+                b,
+                include_partial=(systems == "families"),
                 workers=workers,
                 chunk_size=chunk_size,
             )
-            assert np.array_equal(serial, chunked)
+            for pair, levels in zip(pairs, chunked):
+                expect = appri_levels.serial_level_arrays(
+                    pts, pair, b, method="blocked"
+                )
+                assert np.array_equal(levels[0], expect[0])
+                assert np.array_equal(levels[1], expect[1])
 
     def test_identical_through_a_real_process_pool(self, monkeypatch):
         monkeypatch.setattr(pipeline, "POOL_MIN_N", 0)
         monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 8)
         rng = np.random.default_rng(17)
         for pts in (rng.random((90, 3)), rng.integers(0, 4, (60, 2)).astype(float)):
-            serial = appri_layers(pts, n_partitions=8)
-            pooled = appri_layers(
-                pts, n_partitions=8, workers=2, chunk_size=30
-            )
+            serial = appri_levels.appri_layers(pts, n_partitions=8)
+            pooled = appri_layers(pts, n_partitions=8, workers=2)
             assert np.array_equal(serial, pooled)
 
     @pytest.mark.parametrize("matching", ["greedy", "lemma3"])
     def test_tie_heavy_data_identical(self, matching):
         pts = np.random.default_rng(3).integers(0, 3, (48, 3)).astype(float)
-        serial = appri_layers(pts, matching=matching)
-        chunked = appri_layers(pts, matching=matching, workers=3, chunk_size=7)
-        assert np.array_equal(serial, chunked)
+        serial = appri_levels.appri_layers(pts, matching=matching)
+        for workers in (1, 3):
+            built = appri_layers(pts, matching=matching, workers=workers)
+            assert np.array_equal(serial, built)
+        _, chunked, pairs = pipeline.build_level_data(
+            pts, 10, include_partial=False, workers=3, chunk_size=7
+        )
+        for pair, levels in zip(pairs, chunked):
+            expect = appri_levels.serial_level_arrays(pts, pair, 10)
+            assert np.array_equal(levels[0], expect[0])
+            assert np.array_equal(levels[1], expect[1])
