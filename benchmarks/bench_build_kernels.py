@@ -31,14 +31,13 @@ schedule on the ``naive`` engine, and writes only the text report.
 from __future__ import annotations
 
 import argparse
-import json
-import os
-import platform
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
+
+from _harness import machine, write_report
 
 if __name__ == "__main__":  # standalone: make src/ importable
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
@@ -48,32 +47,12 @@ if str(REPO_ROOT) not in sys.path:  # the per-level reference is in tests/
     sys.path.append(str(REPO_ROOT))
 RESULTS_DIR = Path(__file__).parent / "results"
 
-#: (n, d, measure the legacy schedule too?).  Legacy at n=50k would
-#: take ~44 minutes (the pre-kernel recorded rebuild below), so the
-#: 50k row times the kernel build only and reports the speedup
-#: against that recorded baseline.
+#: (n, d, measure the legacy schedule too?).  Legacy at n=50k takes
+#: most of an hour, so the 50k row times the kernel build only.
 FULL_CONFIGS = ((10_000, 4, True), (50_000, 4, False))
 QUICK_CONFIGS = ((400, 3, True),)
 SEED = 0
 N_PARTITIONS = 10
-
-#: End-to-end build seconds recorded by the snapshot benchmark on
-#: this machine before the kernels existed (RobustIndex
-#: construction; the refreshed BENCH_snapshot.json now carries the
-#: post-kernel rebuild times).
-RECORDED_BASELINE = {10_000: 94.1353, 50_000: 2615.7101}
-
-
-def _machine() -> dict:
-    return {
-        "cpus": len(os.sched_getaffinity(0))
-        if hasattr(os, "sched_getaffinity")
-        else os.cpu_count(),
-        "platform": platform.platform(),
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-    }
-
 
 def _timed(build, *args, **kwargs):
     started = time.perf_counter()
@@ -92,7 +71,7 @@ def run(configs, quick: bool):
         f"(B={N_PARTITIONS}, seed={SEED})",
         "",
         f"{'n':>7} {'d':>3}  {'legacy(s)':>10}  {'kernel(s)':>10}  "
-        f"{'speedup':>8}  {'vs recorded':>11}  layers",
+        f"{'speedup':>8}  layers",
     ]
     for n, d, measure_legacy in configs:
         data = uniform(n, d, seed=SEED)
@@ -105,7 +84,7 @@ def run(configs, quick: bool):
             "n_partitions": N_PARTITIONS,
             "kernel_seconds": round(kernel_seconds, 4),
         }
-        legacy_text = recorded_text = "-"
+        legacy_text = "-"
         if measure_legacy:
             legacy_layers, legacy_seconds = _timed(
                 reference, data, n_partitions=N_PARTITIONS, method="blocked"
@@ -127,11 +106,6 @@ def run(configs, quick: bool):
                 "kernel build must match the reference on the naive engine"
             )
             entry["matches_naive"] = True
-        recorded = RECORDED_BASELINE.get(n)
-        if recorded is not None and not quick:
-            entry["recorded_baseline_seconds"] = recorded
-            entry["speedup_vs_recorded"] = round(recorded / kernel_seconds, 2)
-            recorded_text = f"{recorded / kernel_seconds:10.1f}x"
         results.append(entry)
         speed = (
             f"{entry['speedup_vs_legacy']:7.2f}x"
@@ -140,13 +114,10 @@ def run(configs, quick: bool):
         )
         lines.append(
             f"{n:>7} {d:>3}  {legacy_text:>10}  {kernel_seconds:>10.2f}  "
-            f"{speed:>8}  {recorded_text:>11}  identical"
+            f"{speed:>8}  identical"
         )
     lines.append("")
-    lines.append(
-        "legacy = per-level blocked passes (pre-kernel auto); recorded = "
-        "pre-kernel RobustIndex build time on this machine"
-    )
+    lines.append("legacy = per-level blocked passes (pre-kernel auto)")
     return results, "\n".join(lines)
 
 
@@ -187,11 +158,10 @@ def main(argv=None) -> int:
             "benchmark": "build_kernels",
             "source": "benchmarks/bench_build_kernels.py",
             "params": {"seed": SEED, "n_partitions": N_PARTITIONS},
-            "machine": _machine(),
+            "machine": machine(),
             "results": results,
         }
-        out = REPO_ROOT / "BENCH_build_kernels.json"
-        out.write_text(json.dumps(report, indent=2) + "\n")
+        out = write_report("build_kernels", report)
         print(f"\nwrote {out}")
     return 0
 

@@ -28,19 +28,17 @@ and writes only the text report.
 from __future__ import annotations
 
 import argparse
-import json
-import os
-import platform
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
 
+from _harness import machine, write_report
+
 if __name__ == "__main__":  # standalone: make src/ importable
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-REPO_ROOT = Path(__file__).resolve().parents[1]
 RESULTS_DIR = Path(__file__).parent / "results"
 
 #: (n, d, measure the legacy solver live?).  Legacy d = 3 beyond
@@ -73,17 +71,6 @@ RECORDED_LEGACY = {
 #: estimate understates the true cost — any speedup computed against
 #: it is a lower bound.
 EXTRAPOLATED_LEGACY = {(5_000, 3): round(1778.94 * (5_000 / 400) ** 2, 0)}
-
-
-def _machine() -> dict:
-    return {
-        "cpus": len(os.sched_getaffinity(0))
-        if hasattr(os, "sched_getaffinity")
-        else os.cpu_count(),
-        "platform": platform.platform(),
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-    }
 
 
 def run(configs, quick: bool):
@@ -183,15 +170,14 @@ def main(argv=None) -> int:
             "benchmark": "exact_build",
             "source": "benchmarks/bench_exact_build.py",
             "params": {"seed": SEED},
-            "machine": _machine(),
+            "machine": machine(),
             "targets": {
                 "d2_n10000_speedup": ">= 10x",
                 "d3_n5000_speedup": ">= 5x",
             },
             "results": results,
         }
-        out = REPO_ROOT / "BENCH_exact_build.json"
-        out.write_text(json.dumps(report, indent=2) + "\n")
+        out = write_report("exact_build", report)
         print(f"\nwrote {out}")
     return 0
 

@@ -56,19 +56,17 @@ reloaded on later runs.
 from __future__ import annotations
 
 import argparse
-import json
-import os
-import platform
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
 
+from _harness import machine, write_report
+
 if __name__ == "__main__":  # standalone: make src/ importable
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-REPO_ROOT = Path(__file__).resolve().parents[1]
 RESULTS_DIR = Path(__file__).parent / "results"
 INDEX_CACHE = RESULTS_DIR / "index_cache"
 
@@ -322,12 +320,7 @@ def run(configs, workers: int = 2, index_cache=INDEX_CACHE) -> dict:
             "seed": SEED,
             "n_partitions": 10,
         },
-        "machine": {
-            "cpus": os.cpu_count(),
-            "platform": platform.platform(),
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-        },
+        "machine": machine(),
         "results": records,
     }
 
@@ -375,8 +368,7 @@ def main(argv=None) -> int:
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / "bench_query_throughput.txt").write_text(text + "\n")
     if not args.quick:
-        out = REPO_ROOT / "BENCH_query_throughput.json"
-        out.write_text(json.dumps(report, indent=2) + "\n")
+        out = write_report("query_throughput", report)
         print(f"wrote {out}", file=sys.stderr)
     return 0
 

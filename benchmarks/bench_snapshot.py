@@ -31,19 +31,17 @@ report to ``benchmarks/results/``.
 from __future__ import annotations
 
 import argparse
-import json
-import os
-import platform
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
 
+from _harness import machine, write_report
+
 if __name__ == "__main__":  # standalone: make src/ importable
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-REPO_ROOT = Path(__file__).resolve().parents[1]
 RESULTS_DIR = Path(__file__).parent / "results"
 
 FULL_CONFIGS = ((10_000, 4), (50_000, 4))
@@ -205,12 +203,7 @@ def run(configs, workers: int = 2, scratch_dir=None) -> dict:
             "n_partitions": 10,
             "load_repeats": LOAD_REPEATS,
         },
-        "machine": {
-            "cpus": os.cpu_count(),
-            "platform": platform.platform(),
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-        },
+        "machine": machine(),
         "results": records,
     }
 
@@ -253,8 +246,7 @@ def main(argv=None) -> int:
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / "bench_snapshot.txt").write_text(text + "\n")
     if not args.quick:
-        out = REPO_ROOT / "BENCH_snapshot.json"
-        out.write_text(json.dumps(report, indent=2) + "\n")
+        out = write_report("snapshot", report)
         print(f"wrote {out}", file=sys.stderr)
     return 0
 

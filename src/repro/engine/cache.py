@@ -32,8 +32,14 @@ import numpy as np
 
 from .. import obs
 from ..indexes.base import QueryResult
+from ..queries.ranking import LinearQuery
 
-__all__ = ["ResultCache", "cached_query", "canonical_weight_key"]
+__all__ = [
+    "ResultCache",
+    "cached_answers",
+    "cached_query",
+    "canonical_weight_key",
+]
 
 
 def canonical_weight_key(weights) -> bytes:
@@ -167,21 +173,54 @@ class ResultCache:
         }
 
 
+def cached_answers(cache, scope, index, weight_rows, k: int) -> list:
+    """Top-k answers for several weight vectors through ``cache``.
+
+    The one cache-then-index path: every vector is looked up in
+    ``cache`` (``None`` means no cache); the misses are answered by
+    ``index.query`` when there is one and by one ``index.query_batch``
+    call when there are several, and stored.  The weights must be
+    monotone (non-negative).  Returns one ``(tids, retrieved,
+    layers_scanned, state)`` tuple per vector, in input order, where
+    ``state`` is ``'hit'`` or ``'miss'``; a hit read nothing, so its
+    ``retrieved`` and ``layers_scanned`` are 0.
+    """
+    answers: list[tuple | None] = [None] * len(weight_rows)
+    misses = []
+    for j, weights in enumerate(weight_rows):
+        hit = None if cache is None else cache.lookup(scope, weights, k)
+        if hit is None:
+            misses.append(j)
+        else:
+            answers[j] = (hit, 0, 0, "hit")
+    queries = [
+        LinearQuery(weight_rows[j], require_monotone=False) for j in misses
+    ]
+    if len(queries) == 1:
+        computed = [index.query(queries[0], k)]
+    else:
+        computed = index.query_batch(queries, k) if queries else []
+    for j, result in zip(misses, computed):
+        if cache is not None:
+            cache.store(scope, weight_rows[j], k, result.tids)
+        answers[j] = (
+            result.tids, result.retrieved, result.layers_scanned, "miss"
+        )
+    return answers
+
+
 def cached_query(
     cache: ResultCache, index, query, k: int, scope=None
 ) -> QueryResult:
     """Serve ``index.query(query, k)`` through ``cache``.
 
-    On a hit the answer comes straight from the cache (``retrieved``
-    is 0 — nothing was read from the index — and
-    ``extra['cache'] == 'hit'``); on a miss the index is queried and
-    the answer stored.  The returned tids are identical either way.
-    ``scope`` defaults to the index object's identity.
+    A one-vector :func:`cached_answers`.  On a hit ``retrieved`` is 0 —
+    nothing was read from the index; ``extra['cache']`` is ``'hit'`` or
+    ``'miss'``.  The returned tids are identical either way.  ``scope``
+    defaults to the index object's identity.
     """
     scope = id(index) if scope is None else scope
-    tids = cache.lookup(scope, query.weights, k)
-    if tids is not None:
-        return QueryResult(tids, 0, 0, extra={"cache": "hit"})
-    result = index.query(query, k)
-    cache.store(scope, query.weights, k, result.tids)
-    return result
+    tids, retrieved, layers_scanned, state = cached_answers(
+        cache, scope, index, [query.weights], k
+    )[0]
+    return QueryResult(tids, retrieved, layers_scanned, extra={"cache": state})

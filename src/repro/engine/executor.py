@@ -26,18 +26,14 @@ from .. import obs
 from ..core.index import layer_order
 from ..core.qkernel import topk_select
 from ..queries.ranking import LinearQuery
-from .cache import ResultCache
+from .cache import ResultCache, cached_answers
 from .catalog import Catalog
 from .relation import Relation
 from .schema import Attribute
 from .sql import ParsedQuery, parse
-from .storage import BlockStore
+from .storage import LAYER_COLUMN, BlockStore, blocks_for
 
 __all__ = ["ExecutionResult", "TopKExecutor", "materialize_layers"]
-
-#: Name of the materialized layer column.
-LAYER_COLUMN = "layer"
-
 
 @dataclass(frozen=True)
 class ExecutionResult:
@@ -147,30 +143,10 @@ class TopKExecutor:
         ORDER BY always scans (layered plans cannot serve it).
         """
         query = parse(statement) if isinstance(statement, str) else statement
-        if query.explain:
-            return self._explain_result(query)
-        if query.index_hint is not None or query.layer_bound is not None:
-            return self.execute(query)
-        if not _monotone(query):
-            return self.execute(query)
-        chosen = self.planner.choose(query.table, query.k)
-        if chosen.kind == "layer-prefix":
-            query = ParsedQuery(
-                k=query.k,
-                table=query.table,
-                order_by=query.order_by,
-                layer_bound=query.k,
-            )
-        elif chosen.kind == "index":
-            query = ParsedQuery(
-                k=query.k,
-                table=query.table,
-                order_by=query.order_by,
-                index_hint=chosen.index_name,
-            )
-        return self.execute(query)
+        return self.execute(self._resolve(query))
 
     def _explain_result(self, query: ParsedQuery) -> ExecutionResult:
+        """An empty result whose ``extra['text']`` is the plan ranking."""
         relation = self._catalog.table(query.table)
         text = self.planner.explain(query.table, query.k)
         return ExecutionResult(
@@ -183,212 +159,179 @@ class TopKExecutor:
         )
 
     def execute(self, statement: str | ParsedQuery) -> ExecutionResult:
+        """Execute the plan the statement names: its ``USING INDEX``
+        hint, else its ``layer <=`` bound, else a full scan."""
         query = parse(statement) if isinstance(statement, str) else statement
         if query.explain:
             return self._explain_result(query)
-        local = obs.Metrics()
-        with obs.collect(local):
-            started = time.perf_counter()
-            result = self._execute_parsed(query)
-            elapsed = time.perf_counter() - started
-            plan_kind = result.plan.split("(", 1)[0]
-            local.add_time(f"query.{plan_kind}", elapsed)
-            local.inc("query.count")
-            local.inc("query.retrieved", result.retrieved)
-            local.inc("query.blocks_read", result.blocks_read)
-        self.metrics.merge(local)
-        # Every plan builds a fresh ``extra`` dict for its result.
-        result.extra["metrics"] = local.as_dict()
-        return result
+        return self._run([query])[0]
 
-    def _resolve_index_plan(self, query: ParsedQuery) -> ParsedQuery | None:
-        """The statement rewritten to an index plan, or ``None`` when
-        it cannot be batch-served (explain / layer-bound / negative
-        weights / planner prefers another plan)."""
-        if query.explain or query.layer_bound is not None:
-            return None
-        if not _monotone(query):
-            return None
-        if query.index_hint is not None:
+    def execute_many(self, statements) -> list[ExecutionResult]:
+        """Answer many statements, batching where the engine can.
+
+        Each statement is planned once, as :meth:`execute_auto` plans
+        it.  Statements whose plan is an index plan are grouped by
+        (table, index, k) and each group is answered together: cache
+        hits first when the cache is enabled, then the misses through
+        one :meth:`~repro.indexes.base.RankedIndex.query_batch` call
+        (or ``query`` for a single miss).  Every other statement runs
+        through :meth:`execute`.  Results come back in input order and
+        each grouped result carries the group's ``query.*`` /
+        ``cache.*`` metrics snapshot plus the group size as
+        ``extra['batch_size']``.
+        """
+        queries = [
+            self._resolve(parse(s) if isinstance(s, str) else s)
+            for s in statements
+        ]
+        results: list[ExecutionResult | None] = [None] * len(queries)
+        groups: dict[tuple, list[int]] = {}
+        for i, query in enumerate(queries):
+            if query.explain or query.index_hint is None:
+                results[i] = self.execute(query)
+            else:
+                key = (query.table, query.index_hint, query.k)
+                groups.setdefault(key, []).append(i)
+        for members in groups.values():
+            answered = self._run([queries[i] for i in members], batched=True)
+            for i, result in zip(members, answered):
+                results[i] = result
+        return results
+
+    def _resolve(self, query: ParsedQuery) -> ParsedQuery:
+        """The statement with its physical plan written into it.
+
+        EXPLAIN, a ``USING INDEX`` hint, a ``layer <=`` bound and a
+        non-monotone ORDER BY (only a scan serves it) leave the
+        statement as written; otherwise the planner's choice becomes a
+        ``layer <= k`` bound, an index hint, or nothing for a scan.
+        """
+        if (
+            query.explain
+            or query.index_hint is not None
+            or query.layer_bound is not None
+            or not _monotone(query)
+        ):
             return query
         chosen = self.planner.choose(query.table, query.k)
-        if chosen.kind != "index":
-            return None
+        if chosen.kind == "scan":
+            return query
         return ParsedQuery(
             k=query.k,
             table=query.table,
             order_by=query.order_by,
             index_hint=chosen.index_name,
+            layer_bound=query.k if chosen.kind == "layer-prefix" else None,
         )
 
-    def execute_many(self, statements) -> list[ExecutionResult]:
-        """Answer many statements, batching where the engine can.
+    def _run(self, queries, batched: bool = False) -> list[ExecutionResult]:
+        """Answer one statement, or a group of index-plan statements
+        sharing (table, index, k), inside one ``obs.Metrics`` collector.
 
-        Statements that resolve to an index plan are grouped by
-        (table, index, k) and each group is answered through the
-        index's vectorized :meth:`~repro.indexes.base.RankedIndex.query_batch`
-        (consulting the result cache per query when enabled);
-        everything else falls back to :meth:`execute_auto` per
-        statement.  Results come back in input order and each batched
-        result carries the per-batch ``query.*`` / ``cache.*`` metrics
-        snapshot plus its batch size in ``extra``.
+        Every statement's ORDER BY attributes are checked first.  The
+        collector's ``query.*`` counters and plan timer are merged into
+        :attr:`metrics` and its snapshot rides on every result;
+        ``batched`` groups also count ``query.batches`` and record
+        their size as ``extra['batch_size']``.
         """
-        parsed = [
-            parse(s) if isinstance(s, str) else s for s in statements
-        ]
-        results: list[ExecutionResult | None] = [None] * len(parsed)
-        groups: dict[tuple, list[tuple[int, ParsedQuery]]] = {}
-        for i, query in enumerate(parsed):
-            indexed = self._resolve_index_plan(query)
-            if indexed is None:
-                results[i] = self.execute_auto(query)
-            else:
-                key = (indexed.table, indexed.index_hint, indexed.k)
-                groups.setdefault(key, []).append((i, indexed))
-        for (table, index_name, k), members in groups.items():
-            self._execute_index_batch(table, index_name, k, members, results)
-        return results
-
-    def _execute_index_batch(
-        self, table, index_name, k, members, results
-    ) -> None:
-        relation = self._catalog.table(table)
-        index = self._catalog.index(table, index_name)
+        first = queries[0]
+        relation = self._catalog.table(first.table)
+        for query in queries:
+            for attr in query.order_by:
+                if attr not in relation.schema:
+                    raise KeyError(
+                        f"ORDER BY references unknown attribute {attr!r} "
+                        f"on table {query.table!r}"
+                    )
         local = obs.Metrics()
         with obs.collect(local):
             started = time.perf_counter()
-            weight_rows = [
-                self._index_weights(relation, index_name, q.order_by)
-                for _, q in members
-            ]
-            # (tids, retrieved, layers_scanned, cache state) per member.
-            answers: list[tuple | None] = [None] * len(members)
-            if self.cache is not None:
-                scope = self._cache_scope(table, index_name)
-                misses = []
-                for j, weights in enumerate(weight_rows):
-                    hit = self.cache.lookup(scope, weights, k)
-                    if hit is not None:
-                        answers[j] = (hit, 0, 0, "hit")
-                    else:
-                        misses.append(j)
+            if first.index_hint is not None:
+                results = self._execute_index(queries, relation)
             else:
-                misses = list(range(len(members)))
-            if misses:
-                batch = index.query_batch(
-                    [LinearQuery(weight_rows[j]) for j in misses], k
+                # The scan and layer-prefix plans rank over the ORDER BY
+                # attributes only, in statement order.
+                linear = LinearQuery(
+                    list(first.order_by.values()), require_monotone=False
                 )
-                for j, result in zip(misses, batch):
-                    if self.cache is not None:
-                        self.cache.store(
-                            scope, weight_rows[j], k, result.tids
-                        )
-                    answers[j] = (
-                        result.tids,
-                        result.retrieved,
-                        result.layers_scanned,
-                        "miss",
-                    )
-            retrieved = [a[1] for a in answers]
-            blocks = [self._blocks(r) for r in retrieved]
-            local.add_time("query.index", time.perf_counter() - started)
-            local.inc("query.count", len(members))
-            local.inc("query.batches")
-            local.inc("query.retrieved", sum(retrieved))
-            local.inc("query.blocks_read", sum(blocks))
+                if first.layer_bound is not None:
+                    plan = self._execute_layer_prefix
+                else:
+                    plan = self._execute_scan
+                results = [plan(first, relation, linear)]
+            elapsed = time.perf_counter() - started
+            retrieved = blocks = 0
+            for result in results:
+                retrieved += result.retrieved
+                blocks += result.blocks_read
+            plan_kind = results[0].plan.split("(", 1)[0]
+            local.add_time(f"query.{plan_kind}", elapsed)
+            local.inc("query.count", len(results))
+            if batched:
+                local.inc("query.batches")
+            local.inc("query.retrieved", retrieved)
+            local.inc("query.blocks_read", blocks)
         self.metrics.merge(local)
         snapshot = local.as_dict()
-        for j, (i, _query) in enumerate(members):
-            tids, tuples_read, layers_scanned, cache_state = answers[j]
-            extra = {
-                "layers_scanned": layers_scanned,
-                "metrics": snapshot,
-                "batch_size": len(members),
-            }
-            if self.cache is not None:
-                extra["cache"] = cache_state
-            results[i] = ExecutionResult(
-                tids=tids,
-                rows=relation.take(tids),
-                retrieved=tuples_read,
-                blocks_read=blocks[j],
-                plan=f"index({index_name})",
-                extra=extra,
-            )
+        for result in results:
+            # Every plan builds a fresh ``extra`` dict for its result.
+            result.extra["metrics"] = snapshot
+            if batched:
+                result.extra["batch_size"] = len(results)
+        return results
 
-    def _execute_parsed(self, query: ParsedQuery) -> ExecutionResult:
-        relation = self._catalog.table(query.table)
-        for attr in query.order_by:
-            if attr not in relation.schema:
-                raise KeyError(
-                    f"ORDER BY references unknown attribute {attr!r} "
-                    f"on table {query.table!r}"
-                )
-        if query.index_hint is not None:
-            return self._execute_with_index(query, relation)
-        # The scan and layer-prefix plans rank over the ORDER BY
-        # attributes only, in statement order.
-        linear = LinearQuery(
-            list(query.order_by.values()), require_monotone=False
-        )
-        if query.layer_bound is not None:
-            return self._execute_layer_prefix(query, relation, linear)
-        return self._execute_scan(query, relation, linear)
-
-    def _index_weights(
-        self, relation, index_name: str, order_by: dict
-    ) -> np.ndarray:
+    def _execute_index(self, queries, relation) -> list[ExecutionResult]:
+        """Index-plan statements sharing (table, index, k), answered by
+        :func:`~repro.engine.cache.cached_answers`."""
+        first = queries[0]
+        table, index_name, k = first.table, first.index_hint, first.k
         # Indexes cover the table's float attributes in schema order;
-        # attributes the statement does not rank get weight zero.
+        # attributes a statement does not rank get weight zero.
         indexed = [a.name for a in relation.schema if a.kind == "float"]
-        unknown = [a for a in order_by if a not in indexed]
-        if unknown:
-            raise ValueError(
-                f"index {index_name!r} does not cover {unknown}"
-            )
-        return np.array([order_by.get(name, 0.0) for name in indexed])
-
-    def _cache_scope(self, table: str, index_name: str) -> tuple:
-        return (table, index_name, self._catalog.table_version(table))
-
-    def _blocks(self, tuples: int) -> int:
-        return -(-tuples // self._block_size) if tuples else 0
-
-    def _execute_with_index(self, query, relation) -> ExecutionResult:
-        full = self._index_weights(relation, query.index_hint, query.order_by)
-        linear = LinearQuery(full, require_monotone=False)
-        if not _monotone(query):
-            raise ValueError(
-                "monotone layered indexes cannot serve negative weights; "
-                "drop the USING INDEX hint to fall back to a scan"
-            )
-        index = self._catalog.index(query.table, query.index_hint)
-        plan = f"index({query.index_hint})"
-        if self.cache is not None:
-            scope = self._cache_scope(query.table, query.index_hint)
-            hit = self.cache.lookup(scope, full, query.k)
-            if hit is not None:
-                return ExecutionResult(
-                    tids=hit,
-                    rows=relation.take(hit),
-                    retrieved=0,
-                    blocks_read=0,
-                    plan=plan,
-                    extra={"cache": "hit"},
+        covered = set(indexed)
+        weight_rows = []
+        for query in queries:
+            if not query.order_by.keys() <= covered:
+                unknown = [a for a in query.order_by if a not in covered]
+                raise ValueError(
+                    f"index {index_name!r} does not cover {unknown}"
                 )
-        result = index.query(linear, query.k)
-        extra = {"layers_scanned": result.layers_scanned}
+            if not _monotone(query):
+                raise ValueError(
+                    "monotone layered indexes cannot serve negative "
+                    "weights; drop the USING INDEX hint to fall back to a "
+                    "scan"
+                )
+            weight_rows.append(
+                np.array([query.order_by.get(name, 0.0) for name in indexed])
+            )
+        scope = None
         if self.cache is not None:
-            self.cache.store(scope, full, query.k, result.tids)
-            extra["cache"] = "miss"
-        return ExecutionResult(
-            tids=result.tids,
-            rows=relation.take(result.tids),
-            retrieved=result.retrieved,
-            blocks_read=self._blocks(result.retrieved),
-            plan=plan,
-            extra=extra,
+            scope = (table, index_name, self._catalog.table_version(table))
+        answers = cached_answers(
+            self.cache,
+            scope,
+            self._catalog.index(table, index_name),
+            weight_rows,
+            k,
         )
+        plan = f"index({index_name})"
+        results = []
+        for tids, retrieved, layers_scanned, state in answers:
+            extra = {"layers_scanned": layers_scanned}
+            if self.cache is not None:
+                extra["cache"] = state
+            results.append(
+                ExecutionResult(
+                    tids=tids,
+                    rows=relation.take(tids),
+                    retrieved=retrieved,
+                    blocks_read=blocks_for(retrieved, self._block_size),
+                    plan=plan,
+                    extra=extra,
+                )
+            )
+        return results
 
     def _execute_layer_prefix(self, query, relation, linear) -> ExecutionResult:
         if LAYER_COLUMN not in relation.schema:
@@ -409,7 +352,7 @@ class TopKExecutor:
             layers = relation.column(LAYER_COLUMN)
             candidates = np.flatnonzero(layers <= query.layer_bound)
             retrieved = int(candidates.size)
-            blocks = self._blocks(retrieved)
+            blocks = blocks_for(retrieved, self._block_size)
         data = relation.matrix(list(query.order_by), rows=candidates)
         # topk_select breaks ties by tid, so candidate order is free.
         tids = topk_select(linear.scores(data), candidates, query.k)
@@ -428,11 +371,11 @@ class TopKExecutor:
             tids=tids,
             rows=relation.take(tids),
             retrieved=n,
-            blocks_read=self._blocks(n),
+            blocks_read=blocks_for(n, self._block_size),
             plan="scan",
         )
 
 
 def _monotone(query: ParsedQuery) -> bool:
     """True when no ORDER BY weight is negative."""
-    return not any(w < 0 for w in query.order_by.values())
+    return min(query.order_by.values(), default=0.0) >= 0

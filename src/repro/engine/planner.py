@@ -24,14 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..indexes.robust import RobustIndex
-from .relation import Relation
 from .statistics import TableStats, analyze
+from .storage import LAYER_COLUMN, blocks_for
 
 __all__ = ["PlanCandidate", "CostBasedPlanner"]
-
-#: Name of the materialized layer column (kept in sync with executor).
-LAYER_COLUMN = "layer"
-
 
 @dataclass(frozen=True)
 class PlanCandidate:
@@ -78,30 +74,24 @@ class CostBasedPlanner:
         else:
             self._stats_cache.pop(table_name, None)
 
-    def _blocks(self, tuples: int) -> int:
-        return -(-max(tuples, 0) // self._block_size) if tuples else 0
-
     def candidates(self, table_name: str, k: int) -> list[PlanCandidate]:
         """All applicable plans for a monotone top-k on this table."""
         relation = self._catalog.table(table_name)
-        n = relation.n_rows
-        plans = [
-            PlanCandidate("scan", n, self._blocks(n)),
-        ]
+        n, size = relation.n_rows, self._block_size
+        plans = [PlanCandidate("scan", n, blocks_for(n, size))]
         if LAYER_COLUMN in relation.schema:
             stats = self.statistics(table_name)
             hist = stats.column(LAYER_COLUMN).histogram
             est = max(k, hist.estimate_count_le(float(k)))
             plans.append(
-                PlanCandidate("layer-prefix", est, self._blocks(est))
+                PlanCandidate("layer-prefix", est, blocks_for(est, size))
             )
         for name, index in self._catalog.indexes_on(table_name).items():
             if isinstance(index, RobustIndex):
                 exact = index.retrieval_cost(k)
+                blocks = blocks_for(exact, size)
                 plans.append(
-                    PlanCandidate(
-                        "index", exact, self._blocks(exact), index_name=name
-                    )
+                    PlanCandidate("index", exact, blocks, index_name=name)
                 )
         return plans
 

@@ -18,7 +18,15 @@ import numpy as np
 from .relation import Relation
 from .stats import AccessStats
 
-__all__ = ["BlockStore"]
+__all__ = ["BlockStore", "LAYER_COLUMN", "blocks_for"]
+
+#: Name of the materialized layer column a layer-ordered store sorts.
+LAYER_COLUMN = "layer"
+
+
+def blocks_for(n_tuples: int, block_size: int) -> int:
+    """Blocks that ``n_tuples`` consecutive tuples fill (0 for none)."""
+    return -(-max(n_tuples, 0) // block_size)
 
 
 class BlockStore:
@@ -61,8 +69,7 @@ class BlockStore:
 
     @property
     def n_blocks(self) -> int:
-        n = self._relation.n_rows
-        return -(-n // self._block_size) if n else 0
+        return blocks_for(self._relation.n_rows, self._block_size)
 
     def position_of(self, tid: int) -> int:
         """Physical position of a tuple in the sequential layout."""
@@ -115,5 +122,6 @@ class BlockStore:
 
     def blocks_for_prefix(self, n_tuples: int) -> int:
         """Blocks a prefix read of that many tuples touches."""
-        n = min(max(n_tuples, 0), self._relation.n_rows)
-        return -(-n // self._block_size) if n else 0
+        return blocks_for(
+            min(n_tuples, self._relation.n_rows), self._block_size
+        )

@@ -45,14 +45,14 @@ class LinearQuery:
             raise ValueError("weights must be one-dimensional")
         if w.size == 0:
             raise ValueError("weights must be non-empty")
-        if not np.all(np.isfinite(w)):
+        if not np.isfinite(w).all():
             raise ValueError("weights must be finite")
-        if require_monotone and np.any(w < 0):
+        if require_monotone and (w < 0).any():
             raise ValueError(
                 "monotone queries require non-negative weights; "
                 "pass require_monotone=False for general linear queries"
             )
-        if np.all(w == 0):
+        if not w.any():
             raise ValueError("at least one weight must be non-zero")
         self._weights = w
 

@@ -73,6 +73,34 @@ class TestExecuteMany:
         assert results[-2].plan.startswith("layer-prefix")
         assert results[-1].plan == "scan"
 
+    def test_each_statement_is_planned_once(self, setup):
+        catalog, data = setup
+        catalog.create_table(Relation.from_matrix("p", ["x", "y", "z"], data))
+        store = materialize_layers(
+            catalog, "p", appri_layers(data, n_partitions=4)
+        )
+        plain = [
+            f"SELECT TOP {k} FROM p ORDER BY x + y + z" for k in range(1, 9)
+        ]
+        for run in ("execute_auto", "execute_many"):
+            executor = TopKExecutor(catalog)
+            executor.register_store("p", store)
+            planner = executor.planner
+            calls = []
+            choose = planner.choose
+
+            def counting_choose(table, k):
+                calls.append(k)
+                return choose(table, k)
+
+            planner.choose = counting_choose
+            if run == "execute_auto":
+                results = [executor.execute_auto(s) for s in plain]
+            else:
+                results = executor.execute_many(plain)
+            assert calls == list(range(1, 9)), run
+            assert all(r.plan.startswith("layer-prefix") for r in results)
+
     def test_unhinted_statements_route_through_planner(self, setup):
         catalog, _ = setup
         executor = TopKExecutor(catalog)

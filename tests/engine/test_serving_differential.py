@@ -90,3 +90,22 @@ def test_every_path_matches_a_full_scan(world, with_store, cache_size):
         assert executor.cache.metrics.counters["cache.misses"] > 0
     else:
         assert executor.cache is None
+
+
+@pytest.mark.parametrize("cache_size", [0, 512])
+def test_unknown_attribute_raises_the_same_error_everywhere(world, cache_size):
+    _, catalog, _ = world
+    executor = TopKExecutor(catalog, cache_size=cache_size)
+    statements = (
+        "SELECT TOP 5 FROM t USING INDEX ri ORDER BY x + zz",
+        "SELECT TOP 5 FROM t ORDER BY x + zz",
+        "SELECT TOP 5 FROM t WHERE layer <= 5 ORDER BY zz",
+    )
+    entry_points = (
+        executor.execute,
+        executor.execute_auto,
+        lambda s: executor.execute_many([s]),
+    )
+    for statement, run in itertools.product(statements, entry_points):
+        with pytest.raises(KeyError, match="unknown attribute 'zz'"):
+            run(statement)
